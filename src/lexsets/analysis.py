@@ -17,7 +17,6 @@ from importlib import resources
 from typing import IO, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .corpus import ROLE_O, ROLE_S, LexicalSet
 from .embeddings import EmbeddingStore, cosine_distance
@@ -181,6 +180,8 @@ def rank_values(
     raw = np.asarray([v for _, v in values], dtype=np.float64)
     if not np.all(np.isfinite(raw)):
         raise InputError("values to rank must be finite")
+    from scipy import stats as scipy_stats  # imported here so that extract never loads scipy
+
     ranks = scipy_stats.rankdata(raw if direction == "ascending" else -raw, method="average")
     return {key: float(rank) for (key, _), rank in zip(values, ranks)}
 
@@ -258,6 +259,8 @@ def t_approximation_pvalue(rho: float, n: int) -> float:
         raise InputError(f"t approximation needs n >= 3, got {n}")
     if abs(rho) >= 1.0:
         return 0.0
+    from scipy import stats as scipy_stats
+
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(scipy_stats.t.sf(abs(t), n - 2))
     return min(1.0, p)

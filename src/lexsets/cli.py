@@ -9,11 +9,16 @@ override config values. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from . import report
@@ -36,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
-
-_BATCH_SIZE = 512
 
 
 @dataclass
@@ -150,48 +153,155 @@ def _prefix_path(config: RunConfig, suffix: str) -> Path:
     return path
 
 
+@contextmanager
+def _atomic_output(path: Path):
+    """Text stream onto a temporary file beside ``path``, moved onto ``path`` only if the block completes.
+
+    A run that fails or is interrupted part-way leaves no truncated artifact for a later stage to read.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as stream:
+            yield stream
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _atomic_output(path) as stream:
+        stream.write(text)
+
+
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
+    with _atomic_output(path) as stream:
         json.dump(obj, stream, ensure_ascii=False, indent=2)
         stream.write("\n")
 
 
-def _run_extraction(config: RunConfig, targets: frozenset[str]):
+class _ByteRange(io.RawIOBase):
+    """Unbuffered reader over the next ``size`` bytes of an open binary file, which it closes."""
+
+    def __init__(self, file, size: int):
+        super().__init__()
+        self._file = file
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self._left <= 0:
+            return 0
+        count = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _open_range(path: str, start: int, end: int) -> io.TextIOWrapper:
+    """Bytes ``[start, end)`` of ``path`` as text, split into lines as ``open(path, encoding="utf-8")`` splits them."""
+    file = open(path, "rb", buffering=0)
+    file.seek(start)
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(file, end - start)), encoding="utf-8")
+
+
+def _cut_ranges(path: str, offsets) -> list[tuple[int, int]]:
+    """Cut ``path`` into byte ranges near ``offsets``, in file order.
+
+    Each cut moves forward from its offset past the rest of the line
+    that holds the byte before it, then to just after the next line
+    whose bytes are all whitespace, or to the end of the file. Such a
+    line is a blank separator for ``parse_conll``, so no sentence spans
+    two ranges and the parser starts each range in the state a serial
+    pass has there. Duplicate cuts are dropped; an empty file gives one
+    empty range.
+    """
+    size = os.path.getsize(path)
+    cuts = {0, size}
+    with open(path, "rb") as stream:
+        for offset in offsets:
+            stream.seek(max(0, min(offset, size) - 1))
+            stream.readline()  # the rest of the line the offset falls in
+            line = stream.readline()
+            while line and line.strip():
+                line = stream.readline()
+            cuts.add(stream.tell())
+    cuts = sorted(cuts)
+    return list(zip(cuts, cuts[1:])) or [(0, 0)]
+
+
+def _lines_before(path: str, offset: int) -> int:
+    """Number of text lines in the first ``offset`` bytes of ``path``, counted as the parser counts them."""
+    with _open_range(path, 0, offset) as stream:
+        return sum(1 for _ in stream)
+
+
+def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rules: ExtractionRules,
+                   strict: bool) -> tuple[Counter, ParseStats, int, int]:
+    """Parse bytes ``[start, end)`` of one corpus file and count the fillers of its sentences.
+
+    Returns the filler counts, the parse statistics, the number of
+    sentences dropped by the length filter and the number processed.
+    The range must start and end at cuts made by :func:`_cut_ranges`,
+    so summing the results of a file's ranges equals one serial pass.
+    A parse error names the file and its line in the whole file.
+    """
+    stats = ParseStats()
+    counts: Counter = Counter()
+    filtered = 0
+    processed = 0
+    try:
+        with _open_range(path, start, end) as stream:
+            for sentence in parse_conll(stream, strict=strict, stats=stats):
+                if not passes_length_filter(sentence, rules):
+                    filtered += 1
+                    continue
+                processed += 1
+                counts.update(count_fillers([sentence], targets, rules))
+    except ConllParseError as exc:
+        raise ConllParseError(exc.reason, exc.line_number + _lines_before(path, start), path) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    return counts, stats, filtered, processed
+
+
+def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats, int, int]:
+    """Sum the shard results in shard order, naming the corpus file of a shard whose worker died."""
+    counts: Counter = Counter()
     stats = ParseStats()
     filtered = 0
     processed = 0
-    counts: Counter = Counter()
+    results = iter(results)
+    for path, _, _ in shards:
+        try:
+            shard_counts, shard_stats, shard_filtered, shard_processed = next(results)
+        except BrokenProcessPool as exc:
+            raise InputError(f"{path}: a worker process stopped before its shard was done ({exc})") from None
+        counts.update(shard_counts)
+        stats.update(shard_stats)
+        filtered += shard_filtered
+        processed += shard_processed
+    return counts, stats, filtered, processed
 
-    def sentence_stream():
-        nonlocal filtered, processed
-        for corpus_path in config.corpus_paths:
-            with open(corpus_path, encoding="utf-8") as stream:
-                for sentence in parse_conll(stream, strict=config.strict_parsing, stats=stats):
-                    if not passes_length_filter(sentence, config.rules):
-                        filtered += 1
-                        continue
-                    processed += 1
-                    yield sentence
 
-    if config.worker_count == 1:
-        for sentence in sentence_stream():
-            counts.update(count_fillers([sentence], targets, config.rules))
+def _run_extraction(config: RunConfig, targets: frozenset[str]):
+    """Extract every corpus file as ``worker_count`` byte-range shards; one shard runs in process at 1."""
+    workers = config.worker_count
+    shards = [
+        (path, start, end)
+        for path in config.corpus_paths
+        for start, end in _cut_ranges(path, (os.path.getsize(path) * i // workers for i in range(1, workers)))
+    ]
+    arguments = (*zip(*shards), repeat(targets), repeat(config.rules), repeat(config.strict_parsing))
+    if workers == 1:
+        counts, stats, filtered, processed = _merge_shards(shards, map(_extract_shard, *arguments))
     else:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            pending = []
-            batch = []
-            max_pending = config.worker_count * 2
-            for sentence in sentence_stream():
-                batch.append(sentence)
-                if len(batch) >= _BATCH_SIZE:
-                    pending.append(pool.submit(count_fillers, batch, targets, config.rules))
-                    batch = []
-                    if len(pending) >= max_pending:
-                        counts.update(pending.pop(0).result())
-            if batch:
-                pending.append(pool.submit(count_fillers, batch, targets, config.rules))
-            for future in pending:
-                counts.update(future.result())
+        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+            counts, stats, filtered, processed = _merge_shards(shards, pool.map(_extract_shard, *arguments))
 
     manifest = {
         "corpus_files": list(config.corpus_paths),
@@ -211,9 +321,9 @@ def cmd_extract(config: RunConfig) -> int:
     inventory = _load_inventory(config)
     targets = frozenset(lemma.lower() for lemma in inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
-    with open(_prefix_path(config, "lexsets.json"), "w", encoding="utf-8") as stream:
+    with _atomic_output(_prefix_path(config, "lexsets.json")) as stream:
         write_database(sets, stream)
-    with open(_prefix_path(config, "lexsets.tsv"), "w", encoding="utf-8") as stream:
+    with _atomic_output(_prefix_path(config, "lexsets.tsv")) as stream:
         write_database_tsv(sets, stream)
     _write_json(_prefix_path(config, "manifest.json"), manifest)
     if not sets:
@@ -242,12 +352,12 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
 
     geometry_csv, geometry_json = report.geometry_documents(result, verbose=config.verbose_geometry)
     analysis_csv, analysis_json = report.analysis_documents(result)
-    _prefix_path(config, "geometry.csv").write_text(geometry_csv, encoding="utf-8")
-    _prefix_path(config, "geometry.json").write_text(geometry_json, encoding="utf-8")
-    _prefix_path(config, "analysis.csv").write_text(analysis_csv, encoding="utf-8")
-    _prefix_path(config, "analysis.json").write_text(analysis_json, encoding="utf-8")
+    _write_text(_prefix_path(config, "geometry.csv"), geometry_csv)
+    _write_text(_prefix_path(config, "geometry.json"), geometry_json)
+    _write_text(_prefix_path(config, "analysis.csv"), analysis_csv)
+    _write_text(_prefix_path(config, "analysis.json"), analysis_json)
     for suffix, spec in report.figure_specs(result).items():
-        _prefix_path(config, f"{suffix}.svg").write_text(report.render_svg(spec), encoding="utf-8")
+        _write_text(_prefix_path(config, f"{suffix}.svg"), report.render_svg(spec))
 
     manifest = {
         "database": database_path,

@@ -168,12 +168,9 @@ class ParseStats:
         self.range_lines_skipped += other.range_lines_skipped
 
 
-def _parse_token_line(line: str, line_number: int, columns: ColumnMap) -> Token:
-    parts = line.split("\t")
-    if len(parts) < columns.min_fields:
-        raise ConllParseError(
-            f"expected at least {columns.min_fields} tab-separated fields, got {len(parts)}", line_number
-        )
+def _parse_token_line(parts: list[str], line_number: int, columns: ColumnMap, min_fields: int) -> Token:
+    if len(parts) < min_fields:
+        raise ConllParseError(f"expected at least {min_fields} tab-separated fields, got {len(parts)}", line_number)
     raw_index = parts[columns.index]
     raw_head = parts[columns.head]
     try:
@@ -216,13 +213,16 @@ def parse_conll(
 ) -> Iterator[Sentence]:
     """Yield sentences from a character stream of CoNLL token lines.
 
-    Comment lines (``#``) and multiword-range lines (index containing
-    ``-``) are skipped. Malformed lines raise :class:`ConllParseError`
-    when ``strict``; otherwise the surrounding sentence is dropped and
-    counted in ``stats``.
+    Comment lines (``#``), multiword-range lines (index containing
+    ``-``) and CoNLL-U empty nodes (index ``N.M`` on a line with all the
+    required fields) are skipped; both kinds of skipped token line are
+    counted in ``stats.range_lines_skipped``. Malformed lines raise
+    :class:`ConllParseError` when ``strict``; otherwise the surrounding
+    sentence is dropped and counted in ``stats``.
     """
     if stats is None:
         stats = ParseStats()
+    min_fields = columns.min_fields
     pending: list[tuple[int, Token]] = []
     source_id = ""
     bad_block = False
@@ -262,12 +262,18 @@ def parse_conll(
             if text.startswith("sent_id") and "=" in text:
                 source_id = text.split("=", 1)[1].strip()
             continue
-        first_field = line.split("\t", 1)[0]
+        parts = line.split("\t")
+        first_field = parts[0]
         if "-" in first_field:
             stats.range_lines_skipped += 1
             continue
+        if "." in first_field and len(parts) >= min_fields:
+            major, _, minor = first_field.partition(".")
+            if major.isdecimal() and minor.isdecimal():
+                stats.range_lines_skipped += 1
+                continue
         try:
-            token = _parse_token_line(line, line_number, columns)
+            token = _parse_token_line(parts, line_number, columns, min_fields)
         except ConllParseError:
             if strict:
                 raise

@@ -8,11 +8,19 @@ class LexsetsError(Exception):
 class ConllParseError(LexsetsError):
     """A malformed token line or an invalid sentence in a CoNLL stream."""
 
-    def __init__(self, message: str, line_number: int | None = None):
+    def __init__(self, message: str, line_number: int | None = None, path: str | None = None):
+        self.reason = message
         self.line_number = line_number
+        self.path = path
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
+
+    def __reduce__(self):
+        # Keeps the fields when a worker process sends the error back.
+        return type(self), (self.reason, self.line_number, self.path)
 
 
 class VectorFormatError(LexsetsError):

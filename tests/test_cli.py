@@ -1,13 +1,15 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
+from lexsets import cli
 from lexsets.cli import load_config, main
 from lexsets.errors import ConfigError
 
-from conftest import DATA_DIR, GOLDEN_DIR, run_cli
+from conftest import DATA_DIR, GOLDEN_DIR, run_cli, run_python
 
 FIXTURES = ["toy.conllu", "toy_vectors.txt", "toy_inventory.json", "toy_config.json"]
 
@@ -28,6 +30,7 @@ OUTPUT_FILES = [
     "toy_fig2_O.svg",
     "toy_fig3.svg",
 ]
+EXTRACT_FILES = ["toy_lexsets.json", "toy_lexsets.tsv", "toy_manifest.json"]
 
 
 @pytest.fixture
@@ -186,6 +189,75 @@ def test_strict_mode_aborts_on_malformed_corpus(workdir):
     result = run_cli(workdir, "extract", "--config", "toy_config.json", "--strict")
     assert result.returncode == 2
     assert "line" in result.stderr
+
+
+def _corpus_with_bad_line_late(workdir, sentences=40):
+    """Point the config at a corpus of clean sentences whose last one has a malformed head; return its line."""
+    block = "1\tLuca\tLuca\tPROPN\t_\t_\t2\tnsubj\t_\t_\n2\tapre\taprire\tVERB\t_\t_\t0\troot\t_\t_\n\n"
+    bad = "1\tLuca\tLuca\tPROPN\t_\t_\tx\tnsubj\t_\t_\n"
+    (workdir / "late.conllu").write_text(block * sentences + bad + "\n", encoding="utf-8")
+    config = json.loads((workdir / "toy_config.json").read_text())
+    config["corpus_paths"] = ["late.conllu"]
+    (workdir / "toy_config.json").write_text(json.dumps(config))
+    return 3 * sentences + 1
+
+
+def test_strict_error_names_file_and_line_at_every_worker_count(workdir):
+    line = _corpus_with_bad_line_late(workdir)
+    messages = []
+    for workers in ("1", "2"):
+        result = run_cli(workdir, "extract", "--config", "toy_config.json", "--strict", "--workers", workers)
+        assert result.returncode == 2
+        messages.append(result.stderr)
+    assert messages[0] == messages[1]
+    assert messages[0] == f"error: late.conllu: line {line}: non-numeric index/head ('1', 'x')\n"
+
+
+def test_undecodable_corpus_exits_two_with_path(workdir):
+    (workdir / "toy.conllu").write_bytes(b"1\tcitt\xe0\tcitt\xe0\tNOUN\t_\t_\t0\troot\t_\t_\n")
+    result = run_cli(workdir, "extract", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy.conllu: not valid UTF-8")
+
+
+def _die(*args):
+    os._exit(1)
+
+
+def test_dead_worker_exits_two_with_path(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "_extract_shard", _die)
+    assert main(["extract", "--config", "toy_config.json", "--workers", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: toy.conllu: a worker process stopped")
+
+
+def test_spawned_workers_match_goldens(workdir):
+    code = (
+        "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+        "from lexsets.cli import main; "
+        "sys.exit(main(['extract', '--config', 'toy_config.json', '--workers', '2']))"
+    )
+    result = run_python(workdir, "-c", code)
+    assert result.returncode == 0, result.stderr
+    for name in EXTRACT_FILES:
+        assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_failed_write_leaves_no_database(workdir, monkeypatch, capsys):
+    def write_half(sets, stream):
+        stream.write("[\n  {")
+        raise OSError("disk full")
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "write_database", write_half)
+    assert main(["extract", "--config", "toy_config.json"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == []
+
+
+def test_extract_does_not_import_scipy(workdir):
+    result = run_python(workdir, "-c", "import lexsets.cli, sys; assert 'scipy' not in sys.modules")
+    assert result.returncode == 0, result.stderr
 
 
 def test_usage_error_exits_one(workdir):

@@ -1,9 +1,14 @@
 import io
 import random
+from collections import Counter
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from lexsets.cli import _cut_ranges, _extract_shard, _merge_shards
 
 from lexsets.corpus import (
     DEFAULT_COLUMNS,
@@ -91,6 +96,11 @@ def test_malformed_lines_raise_in_strict_mode(bad_line):
         parse_text(bad_line)
 
 
+def test_too_few_fields_error_text():
+    with pytest.raises(ConllParseError, match=r"^line 1: expected at least 8 tab-separated fields, got 4$"):
+        parse_text("1\tonly\tthree\tfields")
+
+
 def test_self_loop_head_rejected():
     with pytest.raises(ConllParseError):
         parse_text(conll_line(1, "a", "a", "X", 1, "dep"))
@@ -141,6 +151,38 @@ def test_comments_and_ranges_skipped_and_counted():
     assert sentences[0].source_id == "doc1-5"
     assert stats.comment_lines == 2
     assert stats.range_lines_skipped == 1
+
+
+EMPTY_NODE_SENTENCE = "\n".join(
+    [
+        conll_line(1, "Luca", "Luca", "PROPN", 2, "nsubj"),
+        conll_line(2, "apre", "aprire", "VERB", 0, "root"),
+        "2.1\tapre\taprire\tVERB\t_\t_\t_\t_\t0:root\t_",
+        conll_line(3, "la", "il", "DET", 4, "det"),
+        conll_line(4, "porta", "porta", "NOUN", 2, "dobj"),
+    ]
+)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_empty_nodes_are_skipped(strict):
+    stats = ParseStats()
+    sentences = parse_text(EMPTY_NODE_SENTENCE, strict=strict, stats=stats)
+    assert [len(s) for s in sentences] == [4]
+    assert [t.index for t in sentences[0].tokens] == [1, 2, 3, 4]
+    assert stats.range_lines_skipped == 1
+    assert stats.malformed_lines == 0
+    assert stats.sentences_skipped == 0
+
+
+def test_empty_node_with_too_few_fields_is_malformed():
+    text = EMPTY_NODE_SENTENCE.replace("2.1\tapre\taprire\tVERB\t_\t_\t_\t_\t0:root\t_", "2.1\tapre\taprire")
+    with pytest.raises(ConllParseError, match="^line 3: expected at least 8"):
+        parse_text(text)
+    stats = ParseStats()
+    assert parse_text(text, strict=False, stats=stats) == []
+    assert stats.malformed_lines == 1
+    assert stats.sentences_skipped == 1
 
 
 def test_custom_column_map():
@@ -366,6 +408,109 @@ def test_count_fillers_matches_per_sentence_extraction():
     assert counts == {("aprire", "S", "porta"): 1, ("aprire", "O", "porta"): 1}
     sets = lexical_sets_from_counts(counts)
     assert sets[("aprire", "S")].counts == {"porta": 1}
+
+
+# --- byte-range shards ---------------------------------------------------
+
+SHARD_TARGETS = frozenset({"aprire", "rompere"})
+SHARD_RULES = ExtractionRules(max_sentence_length=5)
+SEPARATORS = ["\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n"]
+
+
+@st.composite
+def corpus_blocks(draw):
+    """Sentence blocks (lists of lines) with comments, range lines, empty nodes and bad lines."""
+    blocks = []
+    for number in range(draw(st.integers(0, 10))):
+        n = draw(st.integers(1, 6))
+        lines = []
+        for index in range(1, n + 1):
+            lemma = draw(st.sampled_from(["aprire", "rompere", "porta", "vetro", "si"]))
+            upos = "VERB" if lemma in SHARD_TARGETS else "NOUN"
+            head = draw(st.integers(0, n))
+            head = 0 if head == index else head
+            deprel = draw(st.sampled_from(["dobj", "nsubj", "nsubjpass", "root", "expl"]))
+            lines.append(conll_line(index, lemma, lemma, upos, head, deprel))
+        kind = draw(st.sampled_from(["good", "good", "good", "malformed", "bad_head"]))
+        if kind == "malformed":
+            lines[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from(["x\tbad", conll_line(1, "a", "a", "X", "nope", "dep"), "2.1\tshort"])
+            )
+        elif kind == "bad_head":
+            lines[-1] = conll_line(n, "z", "z", "X", n + 3, "dep")
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, n)), "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_")
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, n)), "1.1\tnull\tnull\tNOUN\t_\t_\t_\t_\t1:dep\t_")
+        if draw(st.booleans()):
+            lines.insert(0, f"# sent_id = s{number}")
+        blocks.append(lines)
+    return blocks
+
+
+@st.composite
+def corpus_bytes(draw):
+    parts = []
+    for lines in draw(corpus_blocks()):
+        for line in lines:
+            parts.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        parts.append(draw(st.sampled_from(SEPARATORS)))
+    text = "".join(parts)
+    if draw(st.booleans()):
+        text = text.rstrip(" \t\r\n")  # no final newline
+    return text.encode("utf-8")
+
+
+def _serial_pass(path, strict):
+    stats = ParseStats()
+    counts = Counter()
+    filtered = processed = 0
+    with open(path, encoding="utf-8") as stream:
+        for sentence in parse_conll(stream, strict=strict, stats=stats):
+            if not passes_length_filter(sentence, SHARD_RULES):
+                filtered += 1
+                continue
+            processed += 1
+            counts.update(count_fillers([sentence], SHARD_TARGETS, SHARD_RULES))
+    return counts, stats, filtered, processed
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ConllParseError as exc:
+        return ("error", exc.reason, exc.line_number)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_bytes(), st.lists(st.floats(0, 1), max_size=6), st.booleans())
+def test_byte_range_shards_equal_a_serial_pass(data, fractions, strict):
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "corpus.conllu")
+        Path(path).write_bytes(data)
+        ranges = _cut_ranges(path, [int(f * len(data)) for f in fractions])
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+        def sharded():
+            shards = [(path, start, end) for start, end in ranges]
+            return _merge_shards(
+                shards, (_extract_shard(*shard, SHARD_TARGETS, SHARD_RULES, strict) for shard in shards)
+            )
+
+        assert _outcome(sharded) == _outcome(lambda: _serial_pass(path, strict))
+
+
+def test_cut_ranges_align_to_blank_lines(tmp_path):
+    path = tmp_path / "corpus.conllu"
+    path.write_bytes(b"1\ta\n1\tb  \n \t\r\n1\tc\n\n1\td")
+    # Blank lines end at bytes 14 and 19; the trailing spaces of "1\tb  " are not a blank line.
+    assert _cut_ranges(str(path), [0, 3, 8, 14, 30]) == [(0, 14), (14, 19), (19, 22)]
+    assert _cut_ranges(str(path), [19]) == [(0, 22)]
+    assert _cut_ranges(str(path), []) == [(0, 22)]
+    empty = tmp_path / "empty.conllu"
+    empty.write_bytes(b"")
+    assert _cut_ranges(str(empty), [0, 0]) == [(0, 0)]
 
 
 # --- rules validation ----------------------------------------------------
