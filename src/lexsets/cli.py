@@ -338,8 +338,13 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
         _check_readable([config.reference_ranking_path])
     with open(database_path, encoding="utf-8") as stream:
         sets = read_database(stream)
-    with open(config.vectors_path, encoding="utf-8") as stream:
-        store = load_text_vectors(stream, metadata=str(config.vectors_path))
+    try:
+        with open(config.vectors_path, encoding="utf-8") as stream:
+            store = load_text_vectors(stream, metadata=str(config.vectors_path))
+    except VectorFormatError as exc:
+        raise VectorFormatError(exc.reason, exc.line_number, config.vectors_path) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{config.vectors_path}: not valid UTF-8 text ({exc.reason})") from None
     inventory = _load_inventory(config)
 
     result = analyze_lexical_sets(

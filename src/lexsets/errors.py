@@ -5,8 +5,8 @@ class LexsetsError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConllParseError(LexsetsError):
-    """A malformed token line or an invalid sentence in a CoNLL stream."""
+class _LocatedError(LexsetsError):
+    """An error at a line of an input file; the message reads ``path: line N: reason``."""
 
     def __init__(self, message: str, line_number: int | None = None, path: str | None = None):
         self.reason = message
@@ -23,14 +23,12 @@ class ConllParseError(LexsetsError):
         return type(self), (self.reason, self.line_number, self.path)
 
 
-class VectorFormatError(LexsetsError):
-    """A malformed line in a word-vector text file."""
+class ConllParseError(_LocatedError):
+    """A malformed token line or an invalid sentence in a CoNLL stream."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        self.line_number = line_number
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+
+class VectorFormatError(_LocatedError):
+    """A malformed line in a word-vector text file."""
 
 
 class DimensionMismatchError(LexsetsError):

@@ -8,6 +8,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from lexsets.analysis import (
     CorrelationResult,
@@ -50,6 +51,22 @@ def student_t_two_sided_p(t_value, dof):
     density = lambda x: coefficient * (1 + x * x / nu) ** (-(nu + 1) / 2)
     tail = mpmath.quad(density, [abs(t_value), mpmath.inf])
     return float(2 * tail)
+
+
+def chunked_enumeration_pvalue(x_ranks, y_ranks):
+    """All n! reorderings of ``y_ranks``, rho compared as floats with a 1e-12 tie slack, in 50,000-row chunks."""
+    x_centered = np.asarray(x_ranks, dtype=np.float64) - np.mean(x_ranks)
+    y_centered = np.asarray(y_ranks, dtype=np.float64) - np.mean(y_ranks)
+    denom = math.sqrt(float(np.dot(x_centered, x_centered)) * float(np.dot(y_centered, y_centered)))
+    threshold = abs(float(np.dot(x_centered, y_centered)) / denom) - 1e-12
+    extreme = 0
+    total = 0
+    permutations = itertools.permutations(y_centered.tolist())
+    while chunk := list(itertools.islice(permutations, 50_000)):
+        rhos = np.asarray(chunk, dtype=np.float64) @ x_centered / denom
+        extreme += int(np.count_nonzero(np.abs(rhos) >= threshold))
+        total += len(chunk)
+    return extreme / total
 
 
 def enumeration_pvalue(x_ranks, y_ranks):
@@ -172,6 +189,17 @@ def test_rank_values_rejects_bad_input():
         rank_values([("a", float("nan"))])
 
 
+@pytest.mark.parametrize("direction", ["ascending", "descending"])
+def test_rank_values_match_scipy_average_ranks(direction):
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        n = int(rng.integers(1, 25))
+        values = (rng.integers(-4, 5, size=n) / 2).tolist()
+        ranks = rank_values(list(enumerate(values)), direction)
+        signed = np.asarray(values) if direction == "ascending" else -np.asarray(values)
+        assert [ranks[i] for i in range(n)] == scipy_stats.rankdata(signed, method="average").tolist()
+
+
 def test_monotone_transform_leaves_ranks_unchanged():
     rng = np.random.default_rng(43)
     for _ in range(100):
@@ -264,6 +292,37 @@ def test_exact_permutation_matches_enumeration():
         result = spearman(x, y)
         assert result.method == "exact_permutation"
         assert result.p_value == enumeration_pvalue(x_vec, y_vec)
+
+
+@pytest.mark.parametrize(
+    "x_values, y_values",
+    [
+        ([5, 3, 8, 1, 7, 2, 6, 4], [2, 7, 1, 8, 3, 6, 5, 4]),
+        ([1, 1, 2, 3, 3, 3, 4, 5], [2, 1, 1, 4, 3, 5, 5, 2]),
+        ([9, 4, 1, 7, 3, 8, 2, 6, 5], [3, 9, 4, 1, 6, 2, 8, 5, 7]),
+        ([1, 2, 2, 3, 4, 4, 4, 5, 6], [3, 3, 1, 2, 6, 5, 5, 4, 1]),
+        ([1, 1, 2, 3, 3, 4, 5, 5, 5, 6], [2, 4, 1, 1, 3, 6, 5, 4, 6, 2]),
+    ],
+)
+def test_exact_permutation_matches_enumeration_up_to_ten(x_values, y_values):
+    x, y = ranks_of(x_values), ranks_of(y_values)
+    result = spearman(x, y)
+    assert result.method == "exact_permutation"
+    assert result.p_value == chunked_enumeration_pvalue(list(x.values()), list(y.values()))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        {"a": 1.25, "b": 2.0, "c": 3.0},
+        {"a": 0.5, "b": 2.0, "c": 3.0},
+        {"a": 1.0, "b": 2.0, "c": 4.0},
+        {"a": 10.0, "b": 20.0, "c": 30.0},
+    ],
+)
+def test_exact_permutation_needs_rank_values(x):
+    with pytest.raises(InputError, match="rank values"):
+        spearman(x, {"a": 1.0, "b": 2.0, "c": 3.0})
 
 
 def test_monotone_invariance_through_ranking():

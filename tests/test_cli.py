@@ -260,6 +260,35 @@ def test_extract_does_not_import_scipy(workdir):
     assert result.returncode == 0, result.stderr
 
 
+def test_analyze_does_not_import_scipy_stats(workdir):
+    code = (
+        "import sys; from lexsets.cli import main; from lexsets.analysis import t_approximation_pvalue; "
+        "assert main(['run', '--config', 'toy_config.json']) == 0; "
+        "assert 0 < t_approximation_pvalue(0.5, 20) < 1; "
+        "assert 'scipy.stats' not in sys.modules"
+    )
+    result = run_python(workdir, "-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_undecodable_vector_file_names_the_file(workdir):
+    with open(workdir / "toy_vectors.txt", "ab") as stream:
+        stream.write(b"citt\xe0 0.1 0.2\n")
+    assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy_vectors.txt: not valid UTF-8 text (")
+
+
+def test_malformed_vector_row_names_file_and_line(workdir):
+    with open(workdir / "toy_vectors.txt", "a", encoding="utf-8") as stream:
+        stream.write("citta 0.1 zero\n")
+    assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy_vectors.txt: line 19: non-numeric vector component")
+
+
 def test_usage_error_exits_one(workdir):
     result = run_cli(workdir, "frobnicate")
     assert result.returncode == 1
