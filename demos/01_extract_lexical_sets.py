@@ -14,7 +14,13 @@ marks the intransitive (anticausative or reflexive) reading.
 
 import io
 
-from lexsets import ExtractionRules, build_lexical_sets, extract_fillers, parse_conll
+from lexsets import (
+    ExtractionRules,
+    count_fillers,
+    extract_fillers,
+    lexical_sets_from_counts,
+    parse_conll,
+)
 
 CORPUS = """\
 # Maria breaks the glass: "bicchiere" is a direct object.
@@ -54,18 +60,19 @@ def main():
     rules = ExtractionRules()  # dobj / nsubj / nsubjpass, clitic "si"
     targets = {"rompere"}
 
-    print("Per-sentence extraction:")
-    records = []
-    for sentence in parse_conll(io.StringIO(CORPUS)):
+    sentences = list(parse_conll(io.StringIO(CORPUS)))
+    print("Per-sentence extraction, as (verb, role, filler) triples:")
+    for sentence in sentences:
+        print(f"  {' '.join(t.surface for t in sentence.tokens)!r}")
         found = extract_fillers(sentence, targets, rules)
-        records.extend(found)
-        surface = " ".join(t.surface for t in sentence.tokens)
-        print(f"  {surface!r}")
-        for record in found or ["(nothing extracted)"]:
-            print(f"    -> {record}")
+        for verb, role, filler in found:
+            print(f"    -> {verb} / {role} / {filler}")
+        if not found:
+            print("    -> (nothing extracted)")
 
     print("\nAggregated lexical sets:")
-    for (verb, role), lex_set in sorted(build_lexical_sets(records).items()):
+    sets = lexical_sets_from_counts(count_fillers(sentences, targets, rules))
+    for (verb, role), lex_set in sorted(sets.items()):
         print(f"  {verb}/{role}: {lex_set.counts}  (total {lex_set.total_count} tokens)")
 
     print("\nNote: the transitive subject 'uomo' never shows up in rompere/S,")

@@ -9,14 +9,7 @@ summarised with quantiles and Tukey whiskers.
 
 import io
 
-from lexsets import (
-    LexicalSet,
-    box_stats,
-    distance_distribution,
-    load_text_vectors,
-    weighted_centroid,
-    weighted_quantile,
-)
+from lexsets import LexicalSet, box_stats, compute_set_geometry, load_text_vectors
 
 VECTORS = """\
 5 2
@@ -36,22 +29,20 @@ def main():
         "aprire", "O", {"porta": 6, "finestra": 3, "cancello": 2, "idea": 1, "sportello": 2}
     )
 
-    centroid, (covered, oov_tokens, oov_types) = weighted_centroid(lex_set, store)
-    print(f"centroid: {centroid.round(4)}")
-    print(f"coverage: {covered} tokens in vocabulary, {oov_tokens} OOV tokens "
-          f"({oov_types} OOV type)")
+    geometry = compute_set_geometry(lex_set, store)
+    print(f"centroid: {geometry.centroid.round(4)}")
+    print(f"coverage: {geometry.covered_tokens} tokens in vocabulary, {geometry.oov_tokens} OOV tokens "
+          f"({geometry.oov_types} OOV type)")
 
-    geometry = distance_distribution(lex_set, store, centroid)
     print("\ncosine distance of each filler type from the centroid:")
     for lemma, distance, weight in geometry.filler_distances:
         bar = "#" * min(60, max(1, round(distance * 200)))
         print(f"  {lemma:<10} weight {weight}  distance {distance:.6f}  {bar}")
 
-    median = weighted_quantile([(d, w) for _, d, w in geometry.filler_distances], 0.5)
-    print(f"\nweighted median distance: {median:.6f}")
+    stats = box_stats(geometry)
+    print(f"\nweighted median distance: {stats.median:.6f}")
     print("(6 of the 12 covered tokens are 'porta', so the median hugs it)")
 
-    stats = box_stats(geometry)
     print("\nbox statistics:")
     for key, value in stats.as_dict().items():
         print(f"  {key:<13} {value:.6f}" if isinstance(value, float) else f"  {key:<13} {value}")

@@ -17,7 +17,7 @@ import io
 from pathlib import Path
 
 from lexsets import analyze_lexical_sets, load_inventory, load_text_vectors, parse_conll
-from lexsets import ExtractionRules, build_lexical_sets, extract_fillers, passes_length_filter
+from lexsets import ExtractionRules, count_fillers, lexical_sets_from_counts, passes_length_filter
 
 DATA = Path(__file__).parent.parent / "tests" / "data"
 
@@ -29,13 +29,8 @@ def main():
     targets = set(inventory.lemmas)
 
     with open(DATA / "toy.conllu", encoding="utf-8") as stream:
-        records = [
-            record
-            for sentence in parse_conll(stream, strict=False)
-            if passes_length_filter(sentence, rules)
-            for record in extract_fillers(sentence, targets, rules)
-        ]
-    sets = build_lexical_sets(records)
+        sentences = (s for s in parse_conll(stream, strict=False) if passes_length_filter(s, rules))
+        sets = lexical_sets_from_counts(count_fillers(sentences, targets, rules))
     with open(DATA / "toy_vectors.txt", encoding="utf-8") as stream:
         store = load_text_vectors(stream)
 

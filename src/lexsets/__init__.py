@@ -27,14 +27,13 @@ from .analysis import (
 from .corpus import (
     ColumnMap,
     ExtractionRules,
-    FillerRecord,
     LexicalSet,
     ParseStats,
     Sentence,
     Token,
-    build_lexical_sets,
+    count_fillers,
     extract_fillers,
-    merge_lexical_set_maps,
+    lexical_sets_from_counts,
     parse_conll,
     passes_length_filter,
     read_database,
@@ -46,7 +45,6 @@ from .embeddings import (
     cosine_distance,
     cosine_similarity,
     load_text_vectors,
-    save_text_vectors,
 )
 from .errors import (
     ConfigError,
@@ -65,9 +63,7 @@ from .geometry import (
     SetGeometry,
     box_stats,
     compute_set_geometry,
-    distance_distribution,
     weighted_box_stats,
-    weighted_centroid,
     weighted_quantile,
 )
 from .report import PlotSpec, emit_tables, figure_specs, render_svg

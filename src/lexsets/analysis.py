@@ -25,9 +25,10 @@ from .errors import (
     InputError,
     UndefinedCorrelationError,
 )
-from .geometry import BoxStats, SetGeometry, box_stats, compute_set_geometry, weighted_quantile
+from .geometry import BoxStats, SetGeometry, box_stats, compute_set_geometry
 
 EXACT_PERMUTATION_MAX_N = 10
+RANK_DIRECTIONS = ("ascending", "descending")
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def rank_values(
     values: Sequence[tuple[Hashable, float]], direction: str = "ascending"
 ) -> dict[Hashable, float]:
     """Rank keys 1..n by value; ties share the average of the spanned ranks."""
-    if direction not in ("ascending", "descending"):
+    if direction not in RANK_DIRECTIONS:
         raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
     if not values:
         raise InputError("cannot rank an empty list")
@@ -349,11 +350,6 @@ class AnalysisResult:
     distances_above_one: int = 0
 
 
-def _median_distance(geometry: SetGeometry) -> float:
-    pairs = [(d, w) for _, d, w in geometry.filler_distances]
-    return weighted_quantile(pairs, 0.5)
-
-
 def analyze_lexical_sets(
     sets: Mapping[tuple[str, str], LexicalSet],
     store: EmbeddingStore,
@@ -400,8 +396,8 @@ def analyze_lexical_sets(
             continue
         result.geometries[(lemma, ROLE_S)] = s_geom
         result.geometries[(lemma, ROLE_O)] = o_geom
-        result.boxes[(lemma, ROLE_S)] = box_stats(s_geom)
-        result.boxes[(lemma, ROLE_O)] = box_stats(o_geom)
+        s_box = result.boxes[(lemma, ROLE_S)] = box_stats(s_geom)
+        o_box = result.boxes[(lemma, ROLE_O)] = box_stats(o_geom)
         result.distances_above_one += sum(
             weight
             for geometry in (s_geom, o_geom)
@@ -410,8 +406,8 @@ def analyze_lexical_sets(
         )
         per_verb[lemma] = {
             "entry": entry,
-            "s_median": _median_distance(s_geom),
-            "o_median": _median_distance(o_geom),
+            "s_median": s_box.median,
+            "o_median": o_box.median,
             "distance": dist,
             "overlap": weighted_overlap(sets[(lemma, ROLE_S)], sets[(lemma, ROLE_O)]),
         }

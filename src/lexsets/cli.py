@@ -17,12 +17,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 
 from . import report
-from .analysis import VerbInventory, analyze_lexical_sets, load_inventory
+from .analysis import RANK_DIRECTIONS, VerbInventory, analyze_lexical_sets, load_inventory
 from .corpus import (
     ExtractionRules,
     ParseStats,
@@ -66,8 +66,16 @@ class RunConfig:
             raise ConfigError("inventory_path is required")
         if not self.output_prefix:
             raise ConfigError("output_prefix is required")
+        for name in ("strict_parsing", "verbose_geometry"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if isinstance(self.worker_count, bool) or not isinstance(self.worker_count, int):
+            raise ConfigError(f"worker_count must be an integer, got {self.worker_count!r}")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
+        for name in ("distance_rank_direction", "overlap_rank_direction"):
+            if getattr(self, name) not in RANK_DIRECTIONS:
+                raise ConfigError(f"{name} must be 'ascending' or 'descending', got {getattr(self, name)!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -80,11 +88,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = {
-        "corpus_paths", "vectors_path", "inventory_path", "reference_ranking_path",
-        "output_prefix", "rules", "strict_parsing", "worker_count",
-        "distance_rank_direction", "overlap_rank_direction", "verbose_geometry",
-    }
+    known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -100,11 +104,11 @@ def load_config(path: str | Path) -> RunConfig:
             reference_ranking_path=data.get("reference_ranking_path"),
             output_prefix=data.get("output_prefix", ""),
             rules=rules,
-            strict_parsing=bool(data.get("strict_parsing", False)),
-            worker_count=int(data.get("worker_count", 1)),
+            strict_parsing=data.get("strict_parsing", False),
+            worker_count=data.get("worker_count", 1),
             distance_rank_direction=data.get("distance_rank_direction", "ascending"),
             overlap_rank_direction=data.get("overlap_rank_direction", "descending"),
-            verbose_geometry=bool(data.get("verbose_geometry", False)),
+            verbose_geometry=data.get("verbose_geometry", False),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None

@@ -13,7 +13,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import ConllParseError
 
@@ -114,13 +114,6 @@ class ExtractionRules:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class FillerRecord:
-    verb_lemma: str
-    role: str
-    filler_lemma: str
-
-
 @dataclass
 class LexicalSet:
     """All fillers attested for one (verb, role) slot, with token counts."""
@@ -132,13 +125,6 @@ class LexicalSet:
     @property
     def total_count(self) -> int:
         return sum(self.counts.values())
-
-    def merged_with(self, other: "LexicalSet") -> "LexicalSet":
-        if (other.verb_lemma, other.role) != (self.verb_lemma, self.role):
-            raise ValueError("cannot merge lexical sets for different (verb, role) keys")
-        merged = Counter(self.counts)
-        merged.update(other.counts)
-        return LexicalSet(self.verb_lemma, self.role, dict(merged))
 
 
 @dataclass
@@ -303,8 +289,8 @@ def extract_fillers(
     sentence: Sentence,
     verbs: Iterable[str],
     rules: ExtractionRules,
-) -> list[FillerRecord]:
-    """Collect (verb, role, filler) records from one parsed sentence.
+) -> list[tuple[str, str, str]]:
+    """Collect the (verb, role, filler) triples of one parsed sentence.
 
     For every verbal token whose lemma is a target:
     object-relation dependents and passive-subject dependents become O
@@ -318,7 +304,7 @@ def extract_fillers(
     for token in sentence.tokens:
         dependents.setdefault(token.head, []).append(token)
 
-    records: list[FillerRecord] = []
+    fillers: list[tuple[str, str, str]] = []
     for token in sentence.tokens:
         lemma = token.lemma.lower()
         if lemma not in targets or token.upos not in rules.verb_pos_tags:
@@ -329,38 +315,25 @@ def extract_fillers(
         intransitive = not has_object or has_clitic
         for dep in deps:
             if dep.deprel in rules.object_relations:
-                records.append(FillerRecord(lemma, ROLE_O, dep.lemma.lower()))
+                fillers.append((lemma, ROLE_O, dep.lemma.lower()))
             elif dep.deprel in rules.passive_subject_relations:
-                records.append(FillerRecord(lemma, ROLE_O, dep.lemma.lower()))
+                fillers.append((lemma, ROLE_O, dep.lemma.lower()))
             elif dep.deprel in rules.subject_relations and intransitive:
-                records.append(FillerRecord(lemma, ROLE_S, dep.lemma.lower()))
-    return records
-
-
-def build_lexical_sets(records: Iterable[FillerRecord]) -> dict[tuple[str, str], LexicalSet]:
-    """Aggregate filler records into per-(verb, role) count sets."""
-    counts: dict[tuple[str, str], Counter] = {}
-    for record in records:
-        key = (record.verb_lemma, record.role)
-        counts.setdefault(key, Counter())[record.filler_lemma] += 1
-    return {
-        key: LexicalSet(verb_lemma=key[0], role=key[1], counts=dict(counter))
-        for key, counter in counts.items()
-    }
+                fillers.append((lemma, ROLE_S, dep.lemma.lower()))
+    return fillers
 
 
 def count_fillers(
-    sentences: Sequence[Sentence], verbs: frozenset[str], rules: ExtractionRules
+    sentences: Iterable[Sentence], verbs: Iterable[str], rules: ExtractionRules
 ) -> Counter:
-    """Filler counts keyed by (verb, role, lemma) for one sentence shard.
+    """Filler counts keyed by (verb, role, lemma) over any run of sentences.
 
-    Shards merge by plain counter addition, so any partition of the
+    Counts merge by plain counter addition, so any partition of the
     corpus yields the same totals as a sequential pass.
     """
     counts: Counter = Counter()
     for sentence in sentences:
-        for record in extract_fillers(sentence, verbs, rules):
-            counts[(record.verb_lemma, record.role, record.filler_lemma)] += 1
+        counts.update(extract_fillers(sentence, verbs, rules))
     return counts
 
 
@@ -372,20 +345,6 @@ def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict
             continue
         sets.setdefault((verb, role), LexicalSet(verb, role, {})).counts[lemma] = count
     return sets
-
-
-def merge_lexical_set_maps(
-    maps: Iterable[Mapping[tuple[str, str], LexicalSet]],
-) -> dict[tuple[str, str], LexicalSet]:
-    """Count-wise merge of sharded extraction results (commutative, associative)."""
-    merged: dict[tuple[str, str], LexicalSet] = {}
-    for shard in maps:
-        for key, lex_set in shard.items():
-            if key in merged:
-                merged[key] = merged[key].merged_with(lex_set)
-            else:
-                merged[key] = LexicalSet(lex_set.verb_lemma, lex_set.role, dict(lex_set.counts))
-    return merged
 
 
 def _sorted_sets(sets: Mapping[tuple[str, str], LexicalSet]) -> list[LexicalSet]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -111,19 +111,6 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "") -> Embedding
     if dimension is None:
         raise VectorFormatError("empty vector stream", line_number or None)
     return EmbeddingStore(dimension, vectors, metadata=metadata, duplicates_ignored=duplicates)
-
-
-def save_text_vectors(store: EmbeddingStore, stream: IO[str], *, header: bool = True) -> None:
-    """Write the store back to text format; reloading round-trips exactly.
-
-    Components are printed with Python's shortest round-tripping float
-    representation (at least 6 significant digits, usually exact).
-    """
-    if header:
-        stream.write(f"{len(store)} {store.dimension}\n")
-    for word in store:
-        vec = store.lookup(word)
-        stream.write(word + " " + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
 def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:

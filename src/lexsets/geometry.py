@@ -57,79 +57,43 @@ class BoxStats:
         }
 
 
-def _split_known(lex_set: LexicalSet, store: EmbeddingStore):
+def compute_set_geometry(lex_set: LexicalSet, store: EmbeddingStore) -> SetGeometry:
+    """Frequency-weighted centroid of a set and the cosine distance of each filler type from it.
+
+    Fillers are looked up once each, in sorted-lemma order. Each
+    in-vocabulary type contributes one distance entry weighted by its
+    token count; out-of-vocabulary fillers are tallied, not silently
+    dropped.
+    """
     known: list[tuple[str, int, np.ndarray]] = []
     oov_tokens = 0
     oov_types = 0
+    total = 0
+    acc = np.zeros(store.dimension, dtype=np.float64)
     for lemma in sorted(lex_set.counts):
         count = lex_set.counts[lemma]
         vec = store.lookup(lemma)
         if vec is None:
             oov_tokens += count
             oov_types += 1
-        else:
-            known.append((lemma, count, vec))
-    return known, oov_tokens, oov_types
-
-
-def _centroid_of(lex_set: LexicalSet, known, dimension: int) -> tuple[np.ndarray, int]:
+            continue
+        known.append((lemma, count, vec))
+        acc += count * vec
+        total += count
     if not known:
         raise EmptySetError(
             f"no in-vocabulary fillers for verb {lex_set.verb_lemma!r} role {lex_set.role}"
         )
-    total = 0
-    acc = np.zeros(dimension, dtype=np.float64)
-    for _, count, vec in known:
-        acc += count * vec
-        total += count
-    return acc / total, total
-
-
-def _geometry_of(lex_set: LexicalSet, split, centroid: np.ndarray) -> SetGeometry:
-    known, oov_tokens, oov_types = split
-    entries: list[DistanceEntry] = [
-        (lemma, cosine_distance(vec, centroid), count) for lemma, count, vec in known
-    ]
+    centroid = acc / total
     return SetGeometry(
         verb_lemma=lex_set.verb_lemma,
         role=lex_set.role,
-        centroid=np.asarray(centroid, dtype=np.float64),
-        filler_distances=entries,
-        covered_tokens=sum(count for _, count, _ in known),
+        centroid=centroid,
+        filler_distances=[(lemma, cosine_distance(vec, centroid), count) for lemma, count, vec in known],
+        covered_tokens=total,
         oov_tokens=oov_tokens,
         oov_types=oov_types,
     )
-
-
-def weighted_centroid(
-    lex_set: LexicalSet, store: EmbeddingStore
-) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Token-frequency-weighted mean vector of the in-vocabulary fillers.
-
-    Returns the centroid and a coverage triple
-    (covered_tokens, oov_tokens, oov_types).
-    """
-    known, oov_tokens, oov_types = _split_known(lex_set, store)
-    centroid, total = _centroid_of(lex_set, known, store.dimension)
-    return centroid, (total, oov_tokens, oov_types)
-
-
-def distance_distribution(
-    lex_set: LexicalSet, store: EmbeddingStore, centroid: np.ndarray
-) -> SetGeometry:
-    """Cosine distance of every in-vocabulary filler type from the centroid.
-
-    Each filler type contributes one entry weighted by its token count;
-    out-of-vocabulary fillers are tallied, not silently dropped.
-    """
-    return _geometry_of(lex_set, _split_known(lex_set, store), centroid)
-
-
-def compute_set_geometry(lex_set: LexicalSet, store: EmbeddingStore) -> SetGeometry:
-    """Centroid plus distance distribution in one step, looking each filler up once."""
-    split = _split_known(lex_set, store)
-    centroid, _ = _centroid_of(lex_set, split[0], store.dimension)
-    return _geometry_of(lex_set, split, centroid)
 
 
 def weighted_quantile(values: Sequence[tuple[float, float]], q: float) -> float:

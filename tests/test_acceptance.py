@@ -20,12 +20,7 @@ import pytest
 from lexsets.analysis import rank_values, spearman, t_approximation_pvalue, weighted_overlap
 from lexsets.corpus import LexicalSet
 from lexsets.embeddings import cosine_distance, cosine_similarity, load_text_vectors
-from lexsets.geometry import (
-    distance_distribution,
-    weighted_box_stats,
-    weighted_centroid,
-    weighted_quantile,
-)
+from lexsets.geometry import compute_set_geometry, weighted_box_stats, weighted_quantile
 
 from conftest import DATA_DIR, GOLDEN_DIR, run_cli, store_from_text
 
@@ -102,19 +97,17 @@ def test_centroid_and_quantile_properties_1000_instances():
         lex_set = LexicalSet("v", "S", counts)
 
         # weight replication: counts behave like repeated vectors
-        centroid, _ = weighted_centroid(lex_set, store)
+        geometry = compute_set_geometry(lex_set, store)
         replicated = np.vstack([[vec] * counts[lemma] for lemma, vec in zip(lemmas, vectors)])
-        np.testing.assert_allclose(centroid, replicated.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(geometry.centroid, replicated.mean(axis=0), atol=1e-12)
 
         # count scaling: a common multiplier changes nothing
         multiplier = int(rng.integers(2, 9))
         scaled_set = LexicalSet("v", "S", {l: multiplier * c for l, c in counts.items()})
-        scaled_centroid, _ = weighted_centroid(scaled_set, store)
-        np.testing.assert_allclose(scaled_centroid, centroid, atol=1e-12)
+        scaled_geometry = compute_set_geometry(scaled_set, store)
+        np.testing.assert_allclose(scaled_geometry.centroid, geometry.centroid, atol=1e-12)
 
-        geometry = distance_distribution(lex_set, store, centroid)
         pairs = [(d, w) for _, d, w in geometry.filler_distances]
-        scaled_geometry = distance_distribution(scaled_set, store, scaled_centroid)
         scaled_pairs = [(d, w) for _, d, w in scaled_geometry.filler_distances]
 
         # quantile monotonicity plus scaling invariance of the quantiles

@@ -333,6 +333,30 @@ def test_validate_config_missing_file(workdir):
     assert "gone.txt" in result.stderr
 
 
+def set_config_field(workdir, name, value):
+    config = json.loads((workdir / "toy_config.json").read_text())
+    config[name] = value
+    (workdir / "toy_config.json").write_text(json.dumps(config))
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_bad_rank_direction_exits_one_before_any_work(workdir, command):
+    set_config_field(workdir, "distance_rank_direction", "up")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert "distance_rank_direction must be 'ascending' or 'descending', got 'up'" in result.stderr
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_string_boolean_exits_one_before_any_work(workdir, command):
+    set_config_field(workdir, "strict_parsing", "false")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert "strict_parsing must be true or false, got 'false'" in result.stderr
+    assert not (workdir / "out").exists()
+
+
 def test_max_sentence_length_override(workdir):
     result = run_cli(
         workdir, "extract", "--config", "toy_config.json", "--max-sentence-length", "3"
@@ -365,6 +389,26 @@ def test_load_config_defaults(workdir):
     assert config.rules.max_sentence_length == 15
     assert config.rules.object_relations == frozenset({"dobj"})
     assert config.distance_rank_direction == "ascending"
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("strict_parsing", "false"),
+        ("strict_parsing", 0),
+        ("verbose_geometry", "yes"),
+        ("worker_count", 1.7),
+        ("worker_count", 2.0),
+        ("worker_count", True),
+        ("worker_count", "2"),
+        ("distance_rank_direction", "up"),
+        ("overlap_rank_direction", "Descending"),
+    ],
+)
+def test_load_config_rejects_mistyped_values(workdir, name, value):
+    set_config_field(workdir, name, value)
+    with pytest.raises(ConfigError, match=name):
+        load_config(workdir / "toy_config.json")
 
 
 def test_load_config_requires_fields(tmp_path):

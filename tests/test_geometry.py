@@ -8,9 +8,7 @@ from lexsets.errors import DegenerateVectorError, EmptySetError
 from lexsets.geometry import (
     box_stats,
     compute_set_geometry,
-    distance_distribution,
     weighted_box_stats,
-    weighted_centroid,
     weighted_quantile,
 )
 
@@ -27,41 +25,45 @@ def brute_force_quantile(pairs, q):
     return max(v for v, _ in pairs)
 
 
-# --- weighted_centroid ----------------------------------------------------
+# --- compute_set_geometry: centroid ----------------------------------------
+
+
+def coverage(geometry):
+    return geometry.covered_tokens, geometry.oov_tokens, geometry.oov_types
 
 
 def test_single_filler_centroid_is_its_vector():
     store = store_from_text("a 3 -4\n")
-    centroid, coverage = weighted_centroid(LexicalSet("v", "S", {"a": 1}), store)
-    np.testing.assert_array_equal(centroid, [3.0, -4.0])
-    assert coverage == (1, 0, 0)
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1}), store)
+    np.testing.assert_array_equal(geometry.centroid, [3.0, -4.0])
+    assert coverage(geometry) == (1, 0, 0)
 
 
 def test_unweighted_mean():
-    store = store_from_text("a 0 0\nb 2 2\n")
-    centroid, _ = weighted_centroid(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
-    np.testing.assert_array_equal(centroid, [1.0, 1.0])
+    store = store_from_text("a 0 2\nb 2 0\n")
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
+    np.testing.assert_array_equal(geometry.centroid, [1.0, 1.0])
 
 
 def test_frequency_weighted_mean():
-    # (3*0 + 1*4) / 4 = 1 on the first axis
-    store = store_from_text("a 0 0\nb 4 0\n")
-    centroid, coverage = weighted_centroid(LexicalSet("v", "S", {"a": 3, "b": 1}), store)
-    np.testing.assert_array_equal(centroid, [1.0, 0.0])
-    assert coverage == (4, 0, 0)
+    # (3*1 + 1*5) / 4 = 2 on the first axis
+    store = store_from_text("a 1 0\nb 5 0\n")
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 3, "b": 1}), store)
+    np.testing.assert_array_equal(geometry.centroid, [2.0, 0.0])
+    assert coverage(geometry) == (4, 0, 0)
 
 
 def test_all_oov_raises_naming_the_set():
     store = store_from_text("a 1 0\n")
     with pytest.raises(EmptySetError, match="rompere.*O"):
-        weighted_centroid(LexicalSet("rompere", "O", {"zz": 2}), store)
+        compute_set_geometry(LexicalSet("rompere", "O", {"zz": 2}), store)
 
 
 def test_oov_fillers_are_tallied():
     store = store_from_text("a 1 0\n")
-    centroid, coverage = weighted_centroid(LexicalSet("v", "S", {"a": 1, "zz": 5}), store)
-    np.testing.assert_array_equal(centroid, [1.0, 0.0])
-    assert coverage == (1, 5, 1)
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1, "zz": 5}), store)
+    np.testing.assert_array_equal(geometry.centroid, [1.0, 0.0])
+    assert coverage(geometry) == (1, 5, 1)
 
 
 def test_weight_replication_equivalence():
@@ -71,7 +73,7 @@ def test_weight_replication_equivalence():
         vec = rng.standard_normal(4)
         store_text = "a " + " ".join(repr(float(x)) for x in vec) + "\n"
         store = store_from_text(store_text)
-        weighted, _ = weighted_centroid(LexicalSet("v", "S", {"a": k}), store)
+        weighted = compute_set_geometry(LexicalSet("v", "S", {"a": k}), store).centroid
         replicated = np.mean([vec] * k, axis=0)
         np.testing.assert_allclose(weighted, replicated, atol=1e-12)
 
@@ -80,32 +82,29 @@ def test_count_scaling_leaves_centroid_and_quantiles_unchanged():
     store = store_from_text("a 1 0\nb 0 1\nc 1 1\n")
     base = LexicalSet("v", "S", {"a": 1, "b": 2, "c": 3})
     scaled = LexicalSet("v", "S", {"a": 7, "b": 14, "c": 21})
-    centroid_base, _ = weighted_centroid(base, store)
-    centroid_scaled, _ = weighted_centroid(scaled, store)
-    np.testing.assert_allclose(centroid_base, centroid_scaled, atol=1e-15)
-    geom_base = distance_distribution(base, store, centroid_base)
-    geom_scaled = distance_distribution(scaled, store, centroid_scaled)
+    geom_base = compute_set_geometry(base, store)
+    geom_scaled = compute_set_geometry(scaled, store)
+    np.testing.assert_allclose(geom_base.centroid, geom_scaled.centroid, atol=1e-15)
     for q in (0.1, 0.25, 0.5, 0.75, 0.9):
         assert weighted_quantile(
             [(d, w) for _, d, w in geom_base.filler_distances], q
         ) == weighted_quantile([(d, w) for _, d, w in geom_scaled.filler_distances], q)
 
 
-# --- distance_distribution --------------------------------------------------
+# --- compute_set_geometry: distances ----------------------------------------
 
 
 def test_point_at_its_own_centroid():
     store = store_from_text("a 1 0\n")
-    geometry = distance_distribution(LexicalSet("v", "S", {"a": 1}), store, np.array([1.0, 0.0]))
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1}), store)
     assert geometry.filler_distances == [("a", 0.0, 1)]
     assert geometry.covered_tokens == 1
 
 
 def test_symmetric_pair_both_at_45_degrees():
+    # centroid (0.5, 0.5)
     store = store_from_text("a 1 0\nb 0 1\n")
-    geometry = distance_distribution(
-        LexicalSet("v", "S", {"a": 1, "b": 1}), store, np.array([0.5, 0.5])
-    )
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
     expected = 1.0 - math.sqrt(2) / 2
     for _, distance, _ in geometry.filler_distances:
         assert math.isclose(distance, expected, abs_tol=1e-12)
@@ -113,9 +112,7 @@ def test_symmetric_pair_both_at_45_degrees():
 
 def test_distribution_tallies_oov():
     store = store_from_text("a 1 0\n")
-    geometry = distance_distribution(
-        LexicalSet("v", "S", {"a": 1, "zz": 5}), store, np.array([1.0, 0.0])
-    )
+    geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1, "zz": 5}), store)
     assert len(geometry.filler_distances) == 1
     assert geometry.oov_tokens == 5
     assert geometry.oov_types == 1
@@ -123,17 +120,23 @@ def test_distribution_tallies_oov():
 
 
 def test_zero_centroid_propagates_degenerate_error():
-    store = store_from_text("a 1 0\n")
+    # equal counts of opposite vectors put the centroid at the origin
+    store = store_from_text("a 1 0\nb -1 0\n")
     with pytest.raises(DegenerateVectorError):
-        distance_distribution(LexicalSet("v", "S", {"a": 1}), store, np.array([0.0, 0.0]))
+        compute_set_geometry(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
 
 
 def test_filler_on_centroid_direction_has_zero_distance():
     rng = np.random.default_rng(5)
     for _ in range(20):
         vec = rng.standard_normal(6)
-        store = store_from_text("a " + " ".join(repr(float(x)) for x in vec) + "\n")
-        geometry = distance_distribution(LexicalSet("v", "S", {"a": 4}), store, 2.5 * vec)
+        # centroid (vec + 4 * vec) / 2 = 2.5 * vec
+        store = store_from_text(
+            "a " + " ".join(repr(float(x)) for x in vec) + "\n"
+            + "b " + " ".join(repr(float(x)) for x in 4 * vec) + "\n"
+        )
+        geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
+        np.testing.assert_allclose(geometry.centroid, 2.5 * vec, rtol=1e-15)
         assert abs(geometry.filler_distances[0][1]) < 1e-12
 
 
