@@ -58,6 +58,8 @@ class RunConfig:
     verbose_geometry: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.corpus_paths, list) or not all(isinstance(p, str) for p in self.corpus_paths):
+            raise ConfigError(f"corpus_paths must be a list of file paths, got {self.corpus_paths!r}")
         if not self.corpus_paths:
             raise ConfigError("corpus_paths must list at least one file")
         if not self.vectors_path:
@@ -98,7 +100,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"bad extraction rules: {exc}") from None
     try:
         return RunConfig(
-            corpus_paths=list(data.get("corpus_paths", [])),
+            corpus_paths=data.get("corpus_paths", []),
             vectors_path=data.get("vectors_path", ""),
             inventory_path=data.get("inventory_path", ""),
             reference_ranking_path=data.get("reference_ranking_path"),
@@ -342,9 +344,10 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
         _check_readable([config.reference_ranking_path])
     with open(database_path, encoding="utf-8") as stream:
         sets = read_database(stream)
+    fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     try:
         with open(config.vectors_path, encoding="utf-8") as stream:
-            store = load_text_vectors(stream, metadata=str(config.vectors_path))
+            store = load_text_vectors(stream, metadata=str(config.vectors_path), vocabulary=fillers)
     except VectorFormatError as exc:
         raise VectorFormatError(exc.reason, exc.line_number, config.vectors_path) from None
     except UnicodeDecodeError as exc:

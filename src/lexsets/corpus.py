@@ -110,7 +110,11 @@ class ExtractionRules:
         kwargs = dict(data)
         for name in ("object_relations", "passive_subject_relations", "subject_relations", "verb_pos_tags"):
             if name in kwargs:
-                kwargs[name] = frozenset(kwargs[name])
+                labels = kwargs[name]
+                # a string is iterable too, and would become the set of its characters
+                if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+                    raise ValueError(f"{name} must be a list of strings, got {labels!r}")
+                kwargs[name] = frozenset(labels)
         return cls(**kwargs)
 
 

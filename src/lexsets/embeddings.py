@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -13,67 +12,87 @@ from .errors import DegenerateVectorError, DimensionMismatchError, VectorFormatE
 class EmbeddingStore:
     """Immutable word -> vector mapping with a fixed dimension.
 
-    Safe for concurrent reads; vectors are float64 and marked read-only.
+    The vectors are the rows of one C-contiguous, read-only float64
+    ``matrix``; ``row_of`` gives a word's row and ``lookup`` a read-only
+    view of it. Safe for concurrent reads.
     """
 
-    def __init__(self, dimension: int, vectors: dict[str, np.ndarray], metadata: str = "",
+    def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray], metadata: str = "",
                  duplicates_ignored: int = 0):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self.dimension = dimension
-        self.metadata = metadata
-        self.duplicates_ignored = duplicates_ignored
-        self._vectors: dict[str, np.ndarray] = {}
-        for word, vec in vectors.items():
+        matrix = np.empty((len(vectors), dimension), dtype=np.float64)
+        for row, (word, vec) in enumerate(vectors.items()):
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (dimension,):
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dimension},)")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            self._vectors[word] = arr
+            matrix[row] = arr
+        rows = {word: row for row, word in enumerate(vectors)}
+        self._hold(matrix, rows, metadata, duplicates_ignored, len(vectors))
+
+    @classmethod
+    def _of_rows(cls, matrix: np.ndarray, rows: dict[str, int], metadata: str, duplicates_ignored: int,
+                 entries: int) -> "EmbeddingStore":
+        """A store over ``matrix`` itself, without copying it."""
+        store = cls.__new__(cls)
+        store._hold(matrix, rows, metadata, duplicates_ignored, entries)
+        return store
+
+    def _hold(self, matrix: np.ndarray, rows: dict[str, int], metadata: str, duplicates_ignored: int,
+              entries: int) -> None:
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.dimension = matrix.shape[1]
+        self.metadata = metadata
+        self.duplicates_ignored = duplicates_ignored
+        self._rows = rows
+        self._entries = entries
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._vectors
+        return word in self._rows
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._vectors)
+        return iter(self._rows)
+
+    def row_of(self, lemma: str) -> int | None:
+        """Row of ``matrix`` that holds an exact key, or None when out-of-vocabulary."""
+        return self._rows.get(lemma)
 
     def lookup(self, lemma: str) -> np.ndarray | None:
-        """Stored vector for an exact key, or None when out-of-vocabulary."""
-        return self._vectors.get(lemma)
+        """Read-only view of the stored vector for an exact key, or None when out-of-vocabulary."""
+        row = self._rows.get(lemma)
+        return None if row is None else self.matrix[row]
 
     def stats(self) -> dict:
+        """Shape of the source: ``entries`` and ``duplicates_ignored`` count every word read, held or not."""
         return {
             "dimension": self.dimension,
-            "entries": len(self._vectors),
+            "entries": self._entries,
             "duplicates_ignored": self.duplicates_ignored,
             "metadata": self.metadata,
         }
 
 
-def _parse_components(parts: list[str], line_number: int) -> np.ndarray:
-    try:
-        values = np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError:
-        raise VectorFormatError(f"non-numeric vector component in {parts!r}", line_number) from None
-    if not np.all(np.isfinite(values)):
-        raise VectorFormatError("non-finite vector component", line_number)
-    return values
-
-
-def load_text_vectors(stream: Iterable[str], *, metadata: str = "") -> EmbeddingStore:
+def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
+                      vocabulary: Collection[str] | None = None) -> EmbeddingStore:
     """Load the conventional text vector format.
 
     An optional first line ``count dimension`` declares the shape;
     otherwise the dimension is inferred from the first data line. Each
     data line is a word followed by whitespace-separated decimals.
     Duplicate words keep the first occurrence and bump a warning count.
+
+    With a ``vocabulary``, only the rows of its words are held. Every
+    row is still checked, so a malformed row raises whether or not it is
+    held, and ``stats()`` describes the whole stream.
     """
     dimension: int | None = None
-    vectors: dict[str, np.ndarray] = {}
+    matrix: np.ndarray | None = None
+    rows: dict[str, int] = {}
+    unheld: set[str] = set()
     duplicates = 0
     first_data_seen = False
     line_number = 0
@@ -103,14 +122,35 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "") -> Embedding
             raise VectorFormatError(
                 f"expected {dimension} components for {word!r}, got {len(components)}", line_number
             )
-        values = _parse_components(components, line_number)
-        if word in vectors:
+        # Every row is parsed into the next free row of the matrix, which
+        # it keeps only if the word is new and wanted. The resizes below
+        # skip numpy's reference check: the only views are `values` of
+        # earlier rows, never read after a resize.
+        held = len(rows)
+        if matrix is None:
+            matrix = np.empty((1024 if vocabulary is None else len(vocabulary) + 1, dimension))
+        elif held == len(matrix):
+            matrix.resize((2 * held, dimension), refcheck=False)
+        values = matrix[held]
+        try:
+            values[:] = components
+        except ValueError:
+            raise VectorFormatError(f"non-numeric vector component in {components!r}", line_number) from None
+        if not np.isfinite(values).all():
+            raise VectorFormatError("non-finite vector component", line_number)
+        if word in rows or word in unheld:
             duplicates += 1
-            continue
-        vectors[word] = values
+        elif vocabulary is None or word in vocabulary:
+            rows[word] = held
+        else:
+            unheld.add(word)
     if dimension is None:
         raise VectorFormatError("empty vector stream", line_number or None)
-    return EmbeddingStore(dimension, vectors, metadata=metadata, duplicates_ignored=duplicates)
+    if matrix is None:
+        matrix = np.empty((0, dimension))
+    else:
+        matrix.resize((len(rows), dimension), refcheck=False)
+    return EmbeddingStore._of_rows(matrix, rows, metadata, duplicates, len(rows) + len(unheld))
 
 
 def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -121,24 +161,42 @@ def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _cosine_of_dots(dot_ab, dot_aa, dot_bb):
+    """cos from the dot products a·b, a·a and b·b (scalars or arrays of a's), clamped to [-1, 1]."""
+    if dot_bb == 0.0 or not np.all(dot_aa):
+        raise DegenerateVectorError("cosine is undefined for a zero-norm vector")
+    # sqrt of the product keeps cos(u, u) exactly 1; split the square
+    # roots only where the product overflows or underflows. Overflow is
+    # silent, as in float arithmetic; fmin/fmax clamp the NaN of an
+    # overflowed a·b to 1, as min/max on floats do.
+    with np.errstate(all="ignore"):
+        product = dot_aa * dot_bb
+        split = (product == np.inf) | (product == 0.0)
+        denominator = np.where(split, np.sqrt(dot_aa) * np.sqrt(dot_bb), np.sqrt(product))
+        return np.fmax(-1.0, np.fmin(1.0, dot_ab / denominator))
+
+
 def cosine_similarity(u, v) -> float:
     """cos(u, v), clamped to [-1, 1] against rounding."""
     a, b = _as_checked_pair(u, v)
-    dot_aa = float(np.dot(a, a))
-    dot_bb = float(np.dot(b, b))
-    if dot_aa == 0.0 or dot_bb == 0.0:
-        raise DegenerateVectorError("cosine is undefined for a zero-norm vector")
-    # sqrt of the product keeps cos(u, u) exactly 1; split the square
-    # roots only when the product would overflow or underflow.
-    product = dot_aa * dot_bb
-    if product == math.inf or product == 0.0:
-        denominator = math.sqrt(dot_aa) * math.sqrt(dot_bb)
-    else:
-        denominator = math.sqrt(product)
-    value = float(np.dot(a, b)) / denominator
-    return max(-1.0, min(1.0, value))
+    return float(_cosine_of_dots(float(np.dot(a, b)), float(np.dot(a, a)), float(np.dot(b, b))))
 
 
 def cosine_distance(u, v) -> float:
     """1 - cos(u, v); 0 for identical directions, up to 2 for opposite ones."""
     return 1.0 - cosine_similarity(u, v)
+
+
+def cosine_distances(rows, v) -> np.ndarray:
+    """``cosine_distance(row, v)`` for each row of a 2-d array, from one matrix-vector product.
+
+    Each value may differ from the one-pair function in its last bits,
+    since the dot products are summed in a different order.
+    """
+    a = np.asarray(rows, dtype=np.float64)
+    b = np.asarray(v, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
+        raise DimensionMismatchError(f"vector shapes differ: {a.shape} vs {b.shape}")
+    with np.errstate(all="ignore"):
+        dot_ab, dot_aa = a @ b, np.einsum("ij,ij->i", a, a)
+    return 1.0 - _cosine_of_dots(dot_ab, dot_aa, float(np.dot(b, b)))

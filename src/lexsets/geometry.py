@@ -13,11 +13,14 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LexicalSet
-from .embeddings import EmbeddingStore, cosine_distance
+from .embeddings import EmbeddingStore, cosine_distances
 from .errors import EmptySetError
 
 #: One row of a distance table: (filler lemma, cosine distance, token count).
 DistanceEntry = tuple[str, float, int]
+
+#: Filler rows read from the vector matrix at a time by ``compute_set_geometry``.
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -63,33 +66,56 @@ def compute_set_geometry(lex_set: LexicalSet, store: EmbeddingStore) -> SetGeome
     Fillers are looked up once each, in sorted-lemma order. Each
     in-vocabulary type contributes one distance entry weighted by its
     token count; out-of-vocabulary fillers are tallied, not silently
-    dropped.
+    dropped. The rows are read from the store's matrix in blocks of
+    ``BLOCK_ROWS``, so the working memory does not grow with the set.
     """
-    known: list[tuple[str, int, np.ndarray]] = []
+    lemmas: list[str] = []
+    counts: list[int] = []
+    rows: list[int] = []
     oov_tokens = 0
     oov_types = 0
-    total = 0
-    acc = np.zeros(store.dimension, dtype=np.float64)
     for lemma in sorted(lex_set.counts):
         count = lex_set.counts[lemma]
-        vec = store.lookup(lemma)
-        if vec is None:
+        row = store.row_of(lemma)
+        if row is None:
             oov_tokens += count
             oov_types += 1
             continue
-        known.append((lemma, count, vec))
-        acc += count * vec
-        total += count
-    if not known:
+        lemmas.append(lemma)
+        counts.append(count)
+        rows.append(row)
+    if not rows:
         raise EmptySetError(
             f"no in-vocabulary fillers for verb {lex_set.verb_lemma!r} role {lex_set.role}"
         )
-    centroid = acc / total
+    total = sum(counts)
+    index = np.array(rows, dtype=np.intp)
+    weights = np.array(counts, dtype=np.float64)
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, len(rows), BLOCK_ROWS)]
+    # Row 0 carries the sum so far. numpy sums pairwise only along the
+    # fast axis; with at least two columns that is not axis 0, so the
+    # rows add strictly in order and the centroid has the bits of
+    # `acc += count * vec` over the sorted fillers. The row indices are
+    # valid, and mode="clip" lets `take` write straight into its `out`.
+    dimension = store.dimension
+    buffer = np.zeros((min(len(rows), BLOCK_ROWS) + 1, max(dimension, 2)))
+    for block in blocks:
+        size = len(index[block])
+        weighted = buffer[1: size + 1, :dimension]
+        np.take(store.matrix, index[block], axis=0, out=weighted, mode="clip")
+        weighted *= weights[block, None]
+        buffer[0] = buffer[: size + 1].sum(axis=0)
+    centroid = buffer[0, :dimension] / total
+    distances = np.empty(len(rows))
+    for block in blocks:
+        fillers = buffer[: len(index[block]), :dimension]
+        np.take(store.matrix, index[block], axis=0, out=fillers, mode="clip")
+        distances[block] = cosine_distances(fillers, centroid)
     return SetGeometry(
         verb_lemma=lex_set.verb_lemma,
         role=lex_set.role,
         centroid=centroid,
-        filler_distances=[(lemma, cosine_distance(vec, centroid), count) for lemma, count, vec in known],
+        filler_distances=list(zip(lemmas, distances.tolist(), counts)),
         covered_tokens=total,
         oov_tokens=oov_tokens,
         oov_types=oov_types,

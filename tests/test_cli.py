@@ -357,6 +357,26 @@ def test_string_boolean_exits_one_before_any_work(workdir, command):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_string_relation_list_exits_one_before_any_work(workdir, command):
+    config = json.loads((workdir / "toy_config.json").read_text())
+    config["rules"]["object_relations"] = "dobj"
+    (workdir / "toy_config.json").write_text(json.dumps(config))
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert "object_relations must be a list of strings, got 'dobj'" in result.stderr
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_string_corpus_paths_exits_one_before_any_work(workdir, command):
+    set_config_field(workdir, "corpus_paths", "toy.conllu")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert "corpus_paths must be a list of file paths, got 'toy.conllu'" in result.stderr
+    assert not (workdir / "out").exists()
+
+
 def test_max_sentence_length_override(workdir):
     result = run_cli(
         workdir, "extract", "--config", "toy_config.json", "--max-sentence-length", "3"
@@ -403,6 +423,10 @@ def test_load_config_defaults(workdir):
         ("worker_count", "2"),
         ("distance_rank_direction", "up"),
         ("overlap_rank_direction", "Descending"),
+        ("corpus_paths", "toy.conllu"),
+        ("corpus_paths", ["toy.conllu", 3]),
+        ("rules", {"verb_pos_tags": "VERB"}),
+        ("rules", {"subject_relations": ["nsubj", None]}),
     ],
 )
 def test_load_config_rejects_mistyped_values(workdir, name, value):

@@ -493,6 +493,15 @@ def test_rules_roundtrip_through_dict():
     assert ExtractionRules.from_dict(rules.to_dict()) == rules
 
 
+@pytest.mark.parametrize(
+    "name", ["object_relations", "passive_subject_relations", "subject_relations", "verb_pos_tags"]
+)
+@pytest.mark.parametrize("value", ["dobj", ("dobj",), {"dobj": 1}, ["dobj", 1]])
+def test_rules_require_a_list_of_labels(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a list of strings"):
+        ExtractionRules.from_dict({name: value})
+
+
 def test_rules_reject_unknown_fields():
     with pytest.raises(ValueError):
         ExtractionRules.from_dict({"max_length": 5})

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lexsets.embeddings import (
     EmbeddingStore,
     cosine_distance,
+    cosine_distances,
     cosine_similarity,
     load_text_vectors,
 )
@@ -84,6 +85,68 @@ def test_save_load_roundtrip_is_exact():
         np.testing.assert_array_equal(reloaded.lookup(word), store.lookup(word))
 
 
+def test_vocabulary_holds_only_its_words_and_stats_count_the_file():
+    text = "5 2\na 1 0\nb 0 1\nc 1 1\nb 9 9\nc 8 8\nd 2 2\n"
+    store = load_text_vectors(io.StringIO(text), vocabulary={"a", "c", "zz"})
+    assert len(store) == 2
+    assert list(store) == ["a", "c"]
+    assert "b" not in store and store.lookup("b") is None and store.lookup("zz") is None
+    np.testing.assert_array_equal(store.lookup("c"), [1.0, 1.0])
+    assert store.matrix.shape == (2, 2)
+    full = load_text_vectors(io.StringIO(text))
+    assert len(full) == 4
+    assert store.stats() == full.stats()
+    assert store.stats()["entries"] == 4
+    assert store.stats()["duplicates_ignored"] == 2
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [("b 1 zz", "non-numeric"), ("b nan 1", "non-finite"), ("b 1 -inf", "non-finite"), ("b 1", "components")],
+)
+def test_unheld_rows_are_still_checked(row, reason):
+    text = f"a 1 0\nc 0 1\n{row}\nd 1 1\n"
+    with pytest.raises(VectorFormatError, match=reason) as excinfo:
+        load_text_vectors(io.StringIO(text), vocabulary={"a"})
+    assert excinfo.value.line_number == 3
+
+
+def test_empty_vocabulary_holds_no_rows():
+    store = load_text_vectors(io.StringIO("a 1 0\nb 0 1\n"), vocabulary=set())
+    assert len(store) == 0
+    assert store.matrix.shape == (0, 2)
+    assert store.stats()["entries"] == 2
+
+
+def test_rows_past_the_first_allocation_are_kept():
+    rng = np.random.default_rng(2)
+    vectors = rng.standard_normal((3000, 3))
+    text = "".join(f"w{i} " + " ".join(repr(float(x)) for x in vec) + "\n" for i, vec in enumerate(vectors))
+    store = load_text_vectors(io.StringIO(text))
+    assert len(store) == 3000
+    assert store.matrix.tobytes() == vectors.tobytes()
+    assert store.row_of("w2999") == 2999
+
+
+def test_lookup_is_a_read_only_view_of_one_matrix():
+    store = store_from_text("a 1 0\nb 0 1\n")
+    view = store.lookup("b")
+    assert np.shares_memory(view, store.matrix)
+    assert store.matrix.flags.c_contiguous
+    assert not store.matrix.flags.writeable and not view.flags.writeable
+    with pytest.raises(ValueError):
+        store.matrix[0, 0] = 5.0
+    np.testing.assert_array_equal(store.matrix[store.row_of("b")], [0.0, 1.0])
+
+
+def test_constructor_copies_into_its_own_matrix():
+    vec = np.array([1.0, 2.0])
+    store = EmbeddingStore(2, {"a": vec})
+    vec[0] = 9.0
+    np.testing.assert_array_equal(store.lookup("a"), [1.0, 2.0])
+    assert store.stats()["entries"] == 1
+
+
 def test_store_rejects_mismatched_vector_length():
     with pytest.raises(ValueError):
         EmbeddingStore(3, {"a": np.array([1.0, 2.0])})
@@ -143,6 +206,28 @@ def test_cosine_properties(data):
     assert 0.0 <= d <= 2.0
     assert -1.0 <= cosine_similarity(u, v) <= 1.0
     assert math.isclose(cosine_distance(u, scale * v), d, abs_tol=1e-9)
+
+
+def test_cosine_distances_match_one_pair_at_a_time():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((40, 7))
+    v = rng.standard_normal(7)
+    distances = cosine_distances(rows, v)
+    for row, distance in zip(rows, distances):
+        assert abs(distance - cosine_distance(row, v)) <= 1e-15
+    np.testing.assert_allclose(cosine_distances([[2.0, 2.0], [0.0, 1.0], [-1.0, 0.0]], [1.0, 0.0]),
+                               [1.0 - math.sqrt(2) / 2, 1.0, 2.0], rtol=0, atol=1e-15)
+
+
+def test_cosine_distances_reject_zero_rows_and_bad_shapes():
+    with pytest.raises(DegenerateVectorError):
+        cosine_distances([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(DegenerateVectorError):
+        cosine_distances([[1.0, 0.0]], [0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        cosine_distances([[1.0, 0.0]], [1.0, 0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        cosine_distances([1.0, 0.0], [1.0, 0.0])
 
 
 def test_near_parallel_vectors_stay_clamped():

@@ -1,11 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexsets import geometry as geometry_module
 from lexsets.corpus import LexicalSet
+from lexsets.embeddings import EmbeddingStore, cosine_distance
 from lexsets.errors import DegenerateVectorError, EmptySetError
 from lexsets.geometry import (
+    BLOCK_ROWS,
     box_stats,
     compute_set_geometry,
     weighted_box_stats,
@@ -138,6 +144,73 @@ def test_filler_on_centroid_direction_has_zero_distance():
         geometry = compute_set_geometry(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
         np.testing.assert_allclose(geometry.centroid, 2.5 * vec, rtol=1e-15)
         assert abs(geometry.filler_distances[0][1]) < 1e-12
+
+
+def test_zero_norm_filler_raises_degenerate_error():
+    store = store_from_text("a 0 0\nb 1 0\n")
+    with pytest.raises(DegenerateVectorError):
+        compute_set_geometry(LexicalSet("v", "S", {"a": 1, "b": 1}), store)
+
+
+# --- compute_set_geometry: the blocked pass against one filler at a time ------
+
+
+def sequential_geometry(lex_set, store):
+    """Centroid by `acc += count * vec` in sorted-lemma order, and each distance by `cosine_distance`."""
+    acc = np.zeros(store.dimension)
+    total = 0
+    known = []
+    for lemma in sorted(lex_set.counts):
+        vec = store.lookup(lemma)
+        if vec is not None:
+            acc += lex_set.counts[lemma] * vec
+            total += lex_set.counts[lemma]
+            known.append((lemma, vec))
+    centroid = acc / total
+    return centroid, [(lemma, cosine_distance(vec, centroid)) for lemma, vec in known]
+
+
+def assert_matches_sequential(lex_set, store):
+    try:
+        centroid, distances = sequential_geometry(lex_set, store)
+    except DegenerateVectorError:
+        with pytest.raises(DegenerateVectorError):
+            compute_set_geometry(lex_set, store)
+        return
+    geometry = compute_set_geometry(lex_set, store)
+    assert geometry.centroid.tobytes() == centroid.tobytes()
+    assert [lemma for lemma, _, _ in geometry.filler_distances] == [lemma for lemma, _ in distances]
+    for (_, blocked, count), (lemma, one_by_one) in zip(geometry.filler_distances, distances):
+        assert abs(blocked - one_by_one) <= 1e-15
+        assert count == lex_set.counts[lemma]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocked_geometry_matches_one_filler_at_a_time(data):
+    block_rows = data.draw(st.sampled_from([1, 2, 3, 8]), label="block_rows")
+    dimension = data.draw(st.integers(min_value=1, max_value=4), label="dimension")
+    size = data.draw(st.integers(min_value=1, max_value=3 * block_rows + 1), label="size")
+    scale = st.floats(min_value=1e-3, max_value=1e3)
+    vectors = {}
+    for i in range(size):
+        vec = np.array(data.draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=dimension,
+                                          max_size=dimension)), dtype=np.float64) * data.draw(scale)
+        vectors[f"w{i:03d}"] = vec if np.dot(vec, vec) >= 1e-12 else np.ones(dimension)
+    counts = {word: data.draw(st.integers(min_value=1, max_value=10_000)) for word in vectors}
+    counts["oov"] = 3
+    store = EmbeddingStore(dimension, vectors)
+    with mock.patch.object(geometry_module, "BLOCK_ROWS", block_rows):
+        assert_matches_sequential(LexicalSet("v", "S", counts), store)
+
+
+def test_blocked_geometry_across_the_block_size():
+    rng = np.random.default_rng(17)
+    for size in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5):
+        words = [f"w{i:05d}" for i in range(size)]
+        store = EmbeddingStore(50, dict(zip(words, rng.standard_normal((size, 50)))))
+        counts = dict(zip(words, (int(c) for c in rng.integers(1, 500, size))))
+        assert_matches_sequential(LexicalSet("v", "O", counts), store)
 
 
 # --- weighted_quantile ------------------------------------------------------
