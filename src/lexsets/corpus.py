@@ -13,7 +13,8 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import IO, Iterable, Iterator, Mapping
+from operator import eq, itemgetter
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConllParseError
 
@@ -22,8 +23,7 @@ ROLE_O = "O"
 ROLES = (ROLE_S, ROLE_O)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One parsed token: 1-based index, head index (0 = root), relation label."""
 
     index: int
@@ -158,40 +158,42 @@ class ParseStats:
         self.range_lines_skipped += other.range_lines_skipped
 
 
-def _parse_token_line(parts: list[str], line_number: int, columns: ColumnMap, min_fields: int) -> Token:
+def _line_error(parts: list[str], columns: ColumnMap, min_fields: int) -> str:
+    """Why a token line that failed the check in :func:`parse_conll` is malformed."""
     if len(parts) < min_fields:
-        raise ConllParseError(f"expected at least {min_fields} tab-separated fields, got {len(parts)}", line_number)
+        return f"expected at least {min_fields} tab-separated fields, got {len(parts)}"
     raw_index = parts[columns.index]
     raw_head = parts[columns.head]
     try:
-        index = int(raw_index)
-        head = int(raw_head)
+        int(raw_index)
+        int(raw_head)
     except ValueError:
-        raise ConllParseError(f"non-numeric index/head ({raw_index!r}, {raw_head!r})", line_number) from None
-    lemma = parts[columns.lemma]
-    deprel = parts[columns.deprel]
-    if not lemma or not deprel:
-        raise ConllParseError("empty lemma or deprel field", line_number)
-    return Token(
-        index=index,
-        surface=parts[columns.surface],
-        lemma=lemma,
-        upos=parts[columns.upos],
-        head=head,
-        deprel=deprel,
-    )
+        return f"non-numeric index/head ({raw_index!r}, {raw_head!r})"
+    return "empty lemma or deprel field"
 
 
-def _finish_sentence(pending: list[tuple[int, Token]], source_id: str) -> Sentence:
-    n = len(pending)
-    for position, (line_number, token) in enumerate(pending, start=1):
-        if token.index != position:
-            raise ConllParseError(f"token index {token.index} out of order, expected {position}", line_number)
-        if token.head < 0 or token.head > n:
-            raise ConllParseError(f"head {token.head} out of range for a {n}-token sentence", line_number)
-        if token.head == token.index:
-            raise ConllParseError(f"token {token.index} is its own head", line_number)
-    return Sentence(tokens=tuple(t for _, t in pending), source_id=source_id)
+_index_of = itemgetter(0)
+_head_of = itemgetter(4)
+
+
+def _finish_sentence(tokens: list[Token], line_numbers: list[int], source_id: str) -> Sentence:
+    n = len(tokens)
+    positions = range(1, n + 1)
+    heads = list(map(_head_of, tokens))
+    if (
+        list(map(_index_of, tokens)) != list(positions)
+        or min(heads) < 0
+        or max(heads) > n
+        or any(map(eq, heads, positions))
+    ):
+        for position, line_number, token in zip(positions, line_numbers, tokens):
+            if token.index != position:
+                raise ConllParseError(f"token index {token.index} out of order, expected {position}", line_number)
+            if token.head < 0 or token.head > n:
+                raise ConllParseError(f"head {token.head} out of range for a {n}-token sentence", line_number)
+            if token.head == token.index:
+                raise ConllParseError(f"token {token.index} is its own head", line_number)
+    return Sentence(tokens=tuple(tokens), source_id=source_id)
 
 
 def parse_conll(
@@ -213,23 +215,33 @@ def parse_conll(
     if stats is None:
         stats = ParseStats()
     min_fields = columns.min_fields
-    pending: list[tuple[int, Token]] = []
+    index_column, surface_column, lemma_column = columns.index, columns.surface, columns.lemma
+    upos_column, head_column, deprel_column = columns.upos, columns.head, columns.deprel
+    # A Token is a NamedTuple; building it through tuple.__new__ skips the
+    # keyword-handling __new__ the class generates.
+    new_token = tuple.__new__
+    tokens: list[Token] = []
+    line_numbers: list[int] = []
+    add_token, add_line_number = tokens.append, line_numbers.append
     source_id = ""
     bad_block = False
 
     def flush() -> Sentence | None:
-        nonlocal pending, source_id, bad_block
-        block, pending = pending, []
+        nonlocal source_id, bad_block
         sid, source_id = source_id, ""
         was_bad, bad_block = bad_block, False
-        if was_bad:
-            stats.sentences_skipped += 1
-            return None
-        if not block:
-            return None
-        sentence = _finish_sentence(block, sid)
-        stats.sentences_parsed += 1
-        return sentence
+        try:
+            if was_bad:
+                stats.sentences_skipped += 1
+                return None
+            if not tokens:
+                return None
+            sentence = _finish_sentence(tokens, line_numbers, sid)
+            stats.sentences_parsed += 1
+            return sentence
+        finally:
+            tokens.clear()
+            line_numbers.clear()
 
     line_number = 0
     for raw_line in stream:
@@ -246,32 +258,46 @@ def parse_conll(
             if sentence is not None:
                 yield sentence
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             stats.comment_lines += 1
             text = line.lstrip("#").strip()
             if text.startswith("sent_id") and "=" in text:
                 source_id = text.split("=", 1)[1].strip()
             continue
         parts = line.split("\t")
-        first_field = parts[0]
-        if "-" in first_field:
-            stats.range_lines_skipped += 1
-            continue
-        if "." in first_field and len(parts) >= min_fields:
-            major, _, minor = first_field.partition(".")
-            if major.isdecimal() and minor.isdecimal():
+        field_count = len(parts)
+        if field_count > index_column:
+            raw_index = parts[index_column]
+            if "-" in raw_index:
                 stats.range_lines_skipped += 1
                 continue
+            if "." in raw_index and field_count >= min_fields:
+                major, _, minor = raw_index.partition(".")
+                if major.isdecimal() and minor.isdecimal():
+                    stats.range_lines_skipped += 1
+                    continue
+        # Checked in the order of the error texts in _line_error: field
+        # count, then numeric index and head, then non-empty lemma and deprel.
+        # A line too short for the index column fails the field count, so
+        # raw_index is always bound when it is read.
         try:
-            token = _parse_token_line(parts, line_number, columns, min_fields)
-        except ConllParseError:
+            if field_count < min_fields:
+                raise ValueError
+            index = int(raw_index)
+            head = int(parts[head_column])
+            lemma = parts[lemma_column]
+            deprel = parts[deprel_column]
+            if not lemma or not deprel:
+                raise ValueError
+        except ValueError:
             if strict:
-                raise
+                raise ConllParseError(_line_error(parts, columns, min_fields), line_number) from None
             stats.malformed_lines += 1
             bad_block = True
             continue
         if not bad_block:
-            pending.append((line_number, token))
+            add_token(new_token(Token, (index, parts[surface_column], lemma, parts[upos_column], head, deprel)))
+            add_line_number(line_number)
 
     try:
         sentence = flush()
@@ -304,15 +330,17 @@ def extract_fillers(
     Lemmas are lower-cased on output.
     """
     targets = {v.lower() for v in verbs}
+    verb_pos_tags = rules.verb_pos_tags
+    target_tokens = [t for t in sentence.tokens if t.upos in verb_pos_tags and t.lemma.lower() in targets]
+    if not target_tokens:
+        return []
     dependents: dict[int, list[Token]] = {}
     for token in sentence.tokens:
         dependents.setdefault(token.head, []).append(token)
 
     fillers: list[tuple[str, str, str]] = []
-    for token in sentence.tokens:
+    for token in target_tokens:
         lemma = token.lemma.lower()
-        if lemma not in targets or token.upos not in rules.verb_pos_tags:
-            continue
         deps = dependents.get(token.index, [])
         has_object = any(d.deprel in rules.object_relations for d in deps)
         has_clitic = any(d.lemma.lower() == rules.clitic_lemma for d in deps)

@@ -80,9 +80,10 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
                       vocabulary: Collection[str] | None = None) -> EmbeddingStore:
     """Load the conventional text vector format.
 
-    An optional first line ``count dimension`` declares the shape;
-    otherwise the dimension is inferred from the first data line. Each
-    data line is a word followed by whitespace-separated decimals.
+    An optional first line ``count dimension`` declares the shape, and
+    the number of data lines must then equal ``count``; otherwise the
+    dimension is inferred from the first data line. Each data line is a
+    word followed by whitespace-separated decimals.
     Duplicate words keep the first occurrence and bump a warning count.
 
     With a ``vocabulary``, only the rows of its words are held. Every
@@ -90,11 +91,12 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
     held, and ``stats()`` describes the whole stream.
     """
     dimension: int | None = None
+    declared: tuple[int, int] | None = None  # (row count, line number) of the header
+    data_rows = 0
     matrix: np.ndarray | None = None
     rows: dict[str, int] = {}
     unheld: set[str] = set()
     duplicates = 0
-    first_data_seen = False
     line_number = 0
     for raw_line in stream:
         line_number += 1
@@ -102,7 +104,7 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
         if not line:
             continue
         parts = line.split()
-        if not first_data_seen and dimension is None and len(parts) == 2:
+        if not data_rows and dimension is None and len(parts) == 2:
             try:
                 declared_count, declared_dim = int(parts[0]), int(parts[1])
             except ValueError:
@@ -111,8 +113,9 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
                 if declared_dim < 1 or declared_count < 0:
                     raise VectorFormatError("header must declare positive dimensions", line_number)
                 dimension = declared_dim
+                declared = (declared_count, line_number)
                 continue
-        first_data_seen = True
+        data_rows += 1
         word, components = parts[0], parts[1:]
         if dimension is None:
             if not components:
@@ -146,6 +149,8 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
             unheld.add(word)
     if dimension is None:
         raise VectorFormatError("empty vector stream", line_number or None)
+    if declared is not None and declared[0] != data_rows:
+        raise VectorFormatError(f"header declares {declared[0]} rows, the file has {data_rows}", declared[1])
     if matrix is None:
         matrix = np.empty((0, dimension))
     else:

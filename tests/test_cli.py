@@ -289,6 +289,16 @@ def test_malformed_vector_row_names_file_and_line(workdir):
     assert result.stderr.startswith("error: toy_vectors.txt: line 19: non-numeric vector component")
 
 
+def test_vector_header_count_mismatch_names_file_and_line(workdir):
+    with open(workdir / "toy_vectors.txt", "a", encoding="utf-8") as stream:
+        stream.write("citta 0.1 0.2\n")
+    assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy_vectors.txt: line 1: header declares 17 rows, the file has 18")
+    assert not list((workdir / "out").glob("toy_analysis*"))
+
+
 def test_usage_error_exits_one(workdir):
     result = run_cli(workdir, "frobnicate")
     assert result.returncode == 1

@@ -192,6 +192,45 @@ def test_custom_column_map():
     assert DEFAULT_COLUMNS.min_fields == 8
 
 
+# The index in column 1, behind the surface form.
+SURFACE_FIRST = ColumnMap(index=1, surface=0, lemma=2, upos=3, head=6, deprel=7)
+
+
+def surface_first_line(index, form, lemma, upos, head, deprel):
+    return f"{form}\t{index}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_custom_index_column_skips_range_lines_and_empty_nodes(strict):
+    text = "\n".join(
+        [
+            "della\t1-2\t_\t_\t_\t_\t_\t_\t_\t_",
+            surface_first_line(1, "di", "di", "ADP", 2, "case"),
+            surface_first_line(2, "apre", "aprire", "VERB", 0, "root"),
+            "apre\t2.1\taprire\tVERB\t_\t_\t_\t_\t0:root\t_",
+        ]
+    )
+    stats = ParseStats()
+    sentences = parse_text(text, columns=SURFACE_FIRST, strict=strict, stats=stats)
+    assert [[(t.index, t.surface) for t in s.tokens] for s in sentences] == [[(1, "di"), (2, "apre")]]
+    assert stats.as_dict() == {
+        "sentences_parsed": 1,
+        "sentences_skipped": 0,
+        "malformed_lines": 0,
+        "comment_lines": 0,
+        "range_lines_skipped": 2,
+    }
+
+
+def test_line_too_short_for_the_index_column_is_malformed():
+    text = "\n".join(["-", surface_first_line(1, "di", "di", "ADP", 0, "root")])
+    with pytest.raises(ConllParseError, match="^line 1: expected at least 8 tab-separated fields, got 1$"):
+        parse_text(text, columns=SURFACE_FIRST)
+    stats = ParseStats()
+    assert parse_text(text, columns=SURFACE_FIRST, strict=False, stats=stats) == []
+    assert (stats.malformed_lines, stats.sentences_skipped, stats.range_lines_skipped) == (1, 1, 0)
+
+
 @settings(max_examples=200)
 @given(st.text(max_size=400))
 def test_parser_never_crashes_and_yields_valid_sentences(text):
@@ -287,6 +326,15 @@ def test_clitic_overrides_object_presence():
     assert ("rompere", "S", "maria") in fillers
     assert ("rompere", "O", "braccio") in fillers
     assert len(fillers) == 2
+
+
+def test_token_is_an_immutable_tuple():
+    token = Token(1, "apre", "aprire", "VERB", 0, "root")
+    with pytest.raises(AttributeError):
+        token.lemma = "chiudere"
+    assert token == (1, "apre", "aprire", "VERB", 0, "root")
+    index, _, lemma, _, head, _ = token
+    assert (index, lemma, head) == (1, "aprire", 0)
 
 
 def test_non_verbal_pos_is_ignored():

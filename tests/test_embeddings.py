@@ -41,6 +41,27 @@ def test_wrong_component_count_reports_line():
     assert excinfo.value.line_number == 3
 
 
+@pytest.mark.parametrize(
+    "text,header_line,message",
+    [
+        ("3 2\na 1 0\nb 0 1\n", 1, "header declares 3 rows, the file has 2"),  # truncated
+        ("2 2\na 1 0\nb 0 1\na 1 0\nb 0 1\n", 1, "header declares 2 rows, the file has 4"),  # concatenated
+        ("\n1 2\n\n", 2, "header declares 1 rows, the file has 0"),
+    ],
+)
+@pytest.mark.parametrize("vocabulary", [None, {"a"}])
+def test_header_row_count_must_match_the_data_rows(text, header_line, message, vocabulary):
+    with pytest.raises(VectorFormatError) as excinfo:
+        load_text_vectors(io.StringIO(text), vocabulary=vocabulary)
+    assert excinfo.value.reason == message
+    assert excinfo.value.line_number == header_line
+
+
+def test_header_row_count_counts_duplicate_rows():
+    store = store_from_text("3 2\na 1 0\na 9 9\nb 0 1\n")
+    assert len(store) == 2 and store.duplicates_ignored == 1
+
+
 def test_duplicate_keeps_first_and_counts():
     store = store_from_text("a 1 0\na 9 9\nb 0 1\n")
     assert len(store) == 2
@@ -86,7 +107,7 @@ def test_save_load_roundtrip_is_exact():
 
 
 def test_vocabulary_holds_only_its_words_and_stats_count_the_file():
-    text = "5 2\na 1 0\nb 0 1\nc 1 1\nb 9 9\nc 8 8\nd 2 2\n"
+    text = "6 2\na 1 0\nb 0 1\nc 1 1\nb 9 9\nc 8 8\nd 2 2\n"
     store = load_text_vectors(io.StringIO(text), vocabulary={"a", "c", "zz"})
     assert len(store) == 2
     assert list(store) == ["a", "c"]

@@ -1,0 +1,293 @@
+"""The tuple-token parse path against the frozen-dataclass parser it replaced.
+
+The oracle below is the earlier ``parse_conll`` (one helper call per
+token line, a per-token loop to finish each sentence) and the earlier
+``extract_fillers`` (dependents map built for every sentence). On
+generated corpora the current code must yield the same sentences, the
+same ``ParseStats``, the same first strict-mode error and line, and the
+same filler counts.
+"""
+
+import io
+from collections import Counter
+from dataclasses import astuple, dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexsets.corpus import (
+    DEFAULT_COLUMNS,
+    ROLE_O,
+    ROLE_S,
+    ColumnMap,
+    ExtractionRules,
+    ParseStats,
+    count_fillers,
+    parse_conll,
+)
+from lexsets.errors import ConllParseError
+
+# --- oracle: the earlier parser and extractor -----------------------------
+
+
+@dataclass(frozen=True)
+class OracleToken:
+    index: int
+    surface: str
+    lemma: str
+    upos: str
+    head: int
+    deprel: str
+
+
+def _oracle_token_line(parts, line_number, columns, min_fields):
+    if len(parts) < min_fields:
+        raise ConllParseError(f"expected at least {min_fields} tab-separated fields, got {len(parts)}", line_number)
+    raw_index = parts[columns.index]
+    raw_head = parts[columns.head]
+    try:
+        index = int(raw_index)
+        head = int(raw_head)
+    except ValueError:
+        raise ConllParseError(f"non-numeric index/head ({raw_index!r}, {raw_head!r})", line_number) from None
+    lemma = parts[columns.lemma]
+    deprel = parts[columns.deprel]
+    if not lemma or not deprel:
+        raise ConllParseError("empty lemma or deprel field", line_number)
+    return OracleToken(
+        index=index,
+        surface=parts[columns.surface],
+        lemma=lemma,
+        upos=parts[columns.upos],
+        head=head,
+        deprel=deprel,
+    )
+
+
+def oracle_finish_sentence(pending, source_id):
+    n = len(pending)
+    for position, (line_number, token) in enumerate(pending, start=1):
+        if token.index != position:
+            raise ConllParseError(f"token index {token.index} out of order, expected {position}", line_number)
+        if token.head < 0 or token.head > n:
+            raise ConllParseError(f"head {token.head} out of range for a {n}-token sentence", line_number)
+        if token.head == token.index:
+            raise ConllParseError(f"token {token.index} is its own head", line_number)
+    return (source_id, tuple(astuple(t) for _, t in pending))
+
+
+def oracle_parse_conll(stream, *, columns=DEFAULT_COLUMNS, strict=True, stats=None):
+    if stats is None:
+        stats = ParseStats()
+    min_fields = columns.min_fields
+    pending = []
+    source_id = ""
+    bad_block = False
+
+    def flush():
+        nonlocal pending, source_id, bad_block
+        block, pending = pending, []
+        sid, source_id = source_id, ""
+        was_bad, bad_block = bad_block, False
+        if was_bad:
+            stats.sentences_skipped += 1
+            return None
+        if not block:
+            return None
+        sentence = oracle_finish_sentence(block, sid)
+        stats.sentences_parsed += 1
+        return sentence
+
+    line_number = 0
+    for raw_line in stream:
+        line_number += 1
+        line = raw_line.rstrip("\r\n")
+        if not line.strip():
+            try:
+                sentence = flush()
+            except ConllParseError:
+                if strict:
+                    raise
+                stats.sentences_skipped += 1
+                sentence = None
+            if sentence is not None:
+                yield sentence
+            continue
+        if line.startswith("#"):
+            stats.comment_lines += 1
+            text = line.lstrip("#").strip()
+            if text.startswith("sent_id") and "=" in text:
+                source_id = text.split("=", 1)[1].strip()
+            continue
+        parts = line.split("\t")
+        first_field = parts[0]
+        if "-" in first_field:
+            stats.range_lines_skipped += 1
+            continue
+        if "." in first_field and len(parts) >= min_fields:
+            major, _, minor = first_field.partition(".")
+            if major.isdecimal() and minor.isdecimal():
+                stats.range_lines_skipped += 1
+                continue
+        try:
+            token = _oracle_token_line(parts, line_number, columns, min_fields)
+        except ConllParseError:
+            if strict:
+                raise
+            stats.malformed_lines += 1
+            bad_block = True
+            continue
+        if not bad_block:
+            pending.append((line_number, token))
+
+    try:
+        sentence = flush()
+    except ConllParseError:
+        if strict:
+            raise
+        stats.sentences_skipped += 1
+        sentence = None
+    if sentence is not None:
+        yield sentence
+
+
+def oracle_extract_fillers(sentence, verbs, rules):
+    targets = {v.lower() for v in verbs}
+    dependents = {}
+    for token in sentence.tokens:
+        dependents.setdefault(token.head, []).append(token)
+
+    fillers = []
+    for token in sentence.tokens:
+        lemma = token.lemma.lower()
+        if lemma not in targets or token.upos not in rules.verb_pos_tags:
+            continue
+        deps = dependents.get(token.index, [])
+        has_object = any(d.deprel in rules.object_relations for d in deps)
+        has_clitic = any(d.lemma.lower() == rules.clitic_lemma for d in deps)
+        intransitive = not has_object or has_clitic
+        for dep in deps:
+            if dep.deprel in rules.object_relations:
+                fillers.append((lemma, ROLE_O, dep.lemma.lower()))
+            elif dep.deprel in rules.passive_subject_relations:
+                fillers.append((lemma, ROLE_O, dep.lemma.lower()))
+            elif dep.deprel in rules.subject_relations and intransitive:
+                fillers.append((lemma, ROLE_S, dep.lemma.lower()))
+    return fillers
+
+
+# --- generated corpora ----------------------------------------------------
+
+# Every map keeps the index in column 0, where the earlier parser looked
+# for range lines and empty nodes.
+COLUMN_MAPS = [
+    DEFAULT_COLUMNS,
+    ColumnMap(index=0, surface=1, lemma=2, upos=3, head=4, deprel=5),
+    ColumnMap(index=0, surface=5, lemma=1, upos=2, head=4, deprel=3),
+]
+TARGETS = ("aprire", "Rompere")
+RULES = ExtractionRules()
+LEMMAS = ["aprire", "APRIRE", "rompere", "porta", "vetro", "si", "Si"]
+SEPARATORS = ["\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n", "\n# sent_id = x\n\n"]
+# Lines that never make a block bad, and lines that make it malformed or
+# fail the sentence checks.
+SKIPPED_KINDS = ["range", "range_short", "empty_node", "comment"]
+FAULTY_KINDS = [
+    "short", "non_numeric_index", "non_numeric_head", "empty_lemma", "empty_deprel", "head_high",
+    "head_negative", "self_head", "index_shift", "empty_node_short", "bad_empty_node",
+]
+
+
+def _layout(columns, index, surface, lemma, upos, head, deprel):
+    fields = ["_"] * columns.min_fields
+    for column, value in zip(
+        (columns.index, columns.surface, columns.lemma, columns.upos, columns.head, columns.deprel),
+        (index, surface, lemma, upos, head, deprel),
+    ):
+        fields[column] = str(value)
+    return "\t".join(fields)
+
+
+@st.composite
+def token_line(draw, columns, n, index, kind):
+    lemma = draw(st.sampled_from(LEMMAS))
+    upos = draw(st.sampled_from(["VERB", "VERB", "NOUN", "PRON", "AUX"]))
+    head = draw(st.integers(0, n))
+    head = 0 if head == index else head
+    deprel = draw(st.sampled_from(["dobj", "nsubj", "nsubjpass", "root", "expl"]))
+    if kind == "short":
+        return "\t".join([str(index), lemma, lemma][: draw(st.integers(1, 3))])
+    if kind == "non_numeric_index":
+        index = draw(st.sampled_from(["x", "1a", ""]))
+    elif kind == "non_numeric_head":
+        head = draw(st.sampled_from(["_", "nope", ""]))
+    elif kind == "empty_lemma":
+        lemma = ""
+    elif kind == "empty_deprel":
+        deprel = ""
+    elif kind == "head_high":
+        head = n + draw(st.integers(1, 3))
+    elif kind == "head_negative":
+        head = -draw(st.integers(1, 2))
+    elif kind == "self_head":
+        head = index
+    elif kind == "index_shift":
+        index += draw(st.sampled_from([-1, 1, 5]))
+    elif kind == "range":
+        index = f"{index}-{index + 1}"
+    elif kind == "range_short":
+        return f"{index}-{index + 1}\tdel"
+    elif kind == "empty_node":
+        index, head = f"{index}.1", "_"
+    elif kind == "empty_node_short":
+        return f"{index}.1\tnull"
+    elif kind == "bad_empty_node":
+        index = f"{index}.x"
+    elif kind == "comment":
+        return draw(st.sampled_from(["# text = a b", f"# sent_id = s{index}", "#sent_id=bare", "# note"]))
+    return _layout(columns, index, lemma, lemma, upos, head, deprel)
+
+
+@st.composite
+def corpus_text(draw, columns):
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(1, 6))
+        lines = [draw(token_line(columns, n, index, "good")) for index in range(1, n + 1)]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, n)), draw(token_line(columns, n, 1, draw(st.sampled_from(SKIPPED_KINDS)))))
+        if draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, n - 1))
+            lines[at] = draw(token_line(columns, n, at + 1, draw(st.sampled_from(FAULTY_KINDS))))
+        for line in lines:
+            parts.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        parts.append(draw(st.sampled_from(SEPARATORS)))
+    text = "".join(parts)
+    if draw(st.booleans()):
+        text = text.rstrip(" \t\r\n")  # no final newline
+    return text
+
+
+def _run(parse, text, columns, strict):
+    stats = ParseStats()
+    try:
+        sentences = list(parse(io.StringIO(text, newline=""), columns=columns, strict=strict, stats=stats))
+    except ConllParseError as exc:
+        return ("error", exc.reason, exc.line_number), stats.as_dict()
+    return sentences, stats.as_dict()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(COLUMN_MAPS), st.booleans())
+def test_parse_and_count_match_the_earlier_parser(data, columns, strict):
+    text = data.draw(corpus_text(columns))
+    sentences, stats = _run(parse_conll, text, columns, strict)
+    expected, expected_stats = _run(oracle_parse_conll, text, columns, strict)
+    assert stats == expected_stats
+    if isinstance(sentences, list):
+        assert [(s.source_id, s.tokens) for s in sentences] == expected
+        assert count_fillers(sentences, TARGETS, RULES) == Counter(
+            filler for sentence in sentences for filler in oracle_extract_fillers(sentence, TARGETS, RULES)
+        )
+    else:
+        assert sentences == expected
