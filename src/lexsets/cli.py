@@ -342,8 +342,11 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
     _check_readable([database_path, config.vectors_path, config.inventory_path])
     if config.reference_ranking_path:
         _check_readable([config.reference_ranking_path])
-    with open(database_path, encoding="utf-8") as stream:
-        sets = read_database(stream)
+    try:
+        with open(database_path, encoding="utf-8") as stream:
+            sets = read_database(stream)
+    except ValueError as exc:  # malformed JSON or entries, or undecodable bytes
+        raise InputError(f"{database_path}: {exc}") from None
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     try:
         with open(config.vectors_path, encoding="utf-8") as stream:

@@ -402,20 +402,63 @@ def write_database(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) 
 
 
 def read_database(stream: IO[str]) -> dict[tuple[str, str], LexicalSet]:
+    """Lexical sets from the JSON that ``write_database`` writes.
+
+    Raises ValueError, naming the entry, for JSON that is not a list of
+    ``{"verb", "role", "fillers"}`` objects whose fillers are
+    ``{"lemma", "count"}`` objects with distinct string lemmas and
+    positive integer counts.
+    """
     data = json.load(stream)
+    if not isinstance(data, list):
+        raise ValueError("database must be a JSON list of lexical sets")
     sets: dict[tuple[str, str], LexicalSet] = {}
-    for entry in data:
-        verb, role = entry["verb"], entry["role"]
+    for number, entry in enumerate(data, start=1):
+        verb, role, fillers = _database_fields(entry, ("verb", "role", "fillers"), f"entry {number}")
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r} for verb {verb!r}")
-        counts = {f["lemma"]: int(f["count"]) for f in entry["fillers"]}
-        if any(c < 1 for c in counts.values()):
+        if not isinstance(verb, str) or not isinstance(fillers, list):
+            raise ValueError(f"entry {number} needs a string verb and a list of fillers")
+        counts = _filler_counts(fillers, verb, f"entry {number}")
+        if min(counts.values(), default=1) < 1:
             raise ValueError(f"non-positive filler count for verb {verb!r}")
         key = (verb, role)
         if key in sets:
             raise ValueError(f"duplicate database entry for {key}")
         sets[key] = LexicalSet(verb, role, counts)
     return sets
+
+
+def _database_fields(item, keys: tuple[str, ...], where: str) -> list:
+    if not isinstance(item, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    missing = [key for key in keys if key not in item]
+    if missing:
+        raise ValueError(f"{where} has no {missing[0]!r} field")
+    return [item[key] for key in keys]
+
+
+def _filler_counts(fillers: list, verb: str, where: str) -> dict[str, int]:
+    """Lemma -> count of one entry's fillers; ValueError names the first malformed or repeated filler."""
+    try:
+        counts = {filler["lemma"]: filler["count"] for filler in fillers}
+    except (TypeError, KeyError):  # a filler that is not an object, lacks a key or has an unhashable lemma
+        counts = None
+    # Well-formed fillers, the only kind `write_database` writes, are
+    # checked at C speed; anything else is checked one filler at a time.
+    if (counts is not None and len(counts) == len(fillers)
+            and set(map(type, counts)) <= {str} and set(map(type, counts.values())) <= {int}):
+        return counts
+    counts = {}
+    for filler in fillers:
+        lemma, count = _database_fields(filler, ("lemma", "count"), f"a filler of {where}")
+        if not isinstance(lemma, str) or isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(f"filler {lemma!r} of verb {verb!r} needs a string lemma and an integer count,"
+                             f" got count {count!r}")
+        if lemma in counts:
+            raise ValueError(f"duplicate filler {lemma!r} for verb {verb!r}")
+        counts[lemma] = count
+    return counts
 
 
 def write_database_tsv(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) -> None:

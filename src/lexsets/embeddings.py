@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DegenerateVectorError, DimensionMismatchError, VectorFormatError
+
+#: Data lines after the first that ``load_text_vectors`` hands to numpy's text reader at a time.
+BLOCK_LINES = 512
 
 
 class EmbeddingStore:
@@ -89,22 +93,49 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
     With a ``vocabulary``, only the rows of its words are held. Every
     row is still checked, so a malformed row raises whether or not it is
     held, and ``stats()`` describes the whole stream.
+
+    After the first data line, the lines are read in blocks of
+    ``BLOCK_LINES`` and each block is parsed by numpy's text reader. A
+    block the reader refuses, or whose values are not all finite, is
+    read again one row at a time, which accepts every spelling
+    ``float()`` does and raises the error of its first bad line.
     """
-    dimension: int | None = None
-    declared: tuple[int, int] | None = None  # (row count, line number) of the header
-    data_rows = 0
-    matrix: np.ndarray | None = None
-    rows: dict[str, int] = {}
-    unheld: set[str] = set()
-    duplicates = 0
+    reader = _VectorReader(vocabulary)
+    lines = iter(stream)
     line_number = 0
-    for raw_line in stream:
+    for raw_line in lines:
         line_number += 1
+        reader.take_line(raw_line, line_number)
+        if reader.data_rows:
+            break
+    while block := list(islice(lines, BLOCK_LINES)):
+        if not reader.take_block(block):
+            for offset, raw_line in enumerate(block, start=1):
+                reader.take_line(raw_line, line_number + offset)
+        line_number += len(block)
+    return reader.store(metadata, line_number)
+
+
+class _VectorReader:
+    """The state of one ``load_text_vectors`` pass: the rows held so far and the counts of the stream."""
+
+    def __init__(self, vocabulary: Collection[str] | None):
+        self.vocabulary = vocabulary
+        self.dimension: int | None = None
+        self.declared: tuple[int, int] | None = None  # (row count, line number) of the header
+        self.data_rows = 0
+        self.matrix: np.ndarray | None = None
+        self.rows: dict[str, int] = {}
+        self.unheld: set[str] = set()
+        self.duplicates = 0
+
+    def take_line(self, raw_line: str, line_number: int) -> None:
+        """Check one line and hold its row if the word is new and wanted; the checker of record."""
         line = raw_line.strip()
         if not line:
-            continue
+            return
         parts = line.split()
-        if not data_rows and dimension is None and len(parts) == 2:
+        if not self.data_rows and self.dimension is None and len(parts) == 2:
             try:
                 declared_count, declared_dim = int(parts[0]), int(parts[1])
             except ValueError:
@@ -112,50 +143,102 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
             else:
                 if declared_dim < 1 or declared_count < 0:
                     raise VectorFormatError("header must declare positive dimensions", line_number)
-                dimension = declared_dim
-                declared = (declared_count, line_number)
-                continue
-        data_rows += 1
+                self.dimension = declared_dim
+                self.declared = (declared_count, line_number)
+                return
+        self.data_rows += 1
         word, components = parts[0], parts[1:]
-        if dimension is None:
+        if self.dimension is None:
             if not components:
                 raise VectorFormatError("first data line has no vector components", line_number)
-            dimension = len(components)
+            self.dimension = len(components)
+        dimension = self.dimension
         if len(components) != dimension:
             raise VectorFormatError(
                 f"expected {dimension} components for {word!r}, got {len(components)}", line_number
             )
         # Every row is parsed into the next free row of the matrix, which
         # it keeps only if the word is new and wanted. The resizes below
-        # skip numpy's reference check: the only views are `values` of
-        # earlier rows, never read after a resize.
-        held = len(rows)
-        if matrix is None:
-            matrix = np.empty((1024 if vocabulary is None else len(vocabulary) + 1, dimension))
-        elif held == len(matrix):
-            matrix.resize((2 * held, dimension), refcheck=False)
-        values = matrix[held]
+        # and in `take_block` skip numpy's reference check: the only
+        # views are `values` of earlier rows, never read after a resize.
+        held = len(self.rows)
+        if self.matrix is None:
+            self.matrix = np.empty((1024 if self.vocabulary is None else len(self.vocabulary) + 1, dimension))
+        elif held == len(self.matrix):
+            self.matrix.resize((2 * held, dimension), refcheck=False)
+        values = self.matrix[held]
         try:
             values[:] = components
         except ValueError:
             raise VectorFormatError(f"non-numeric vector component in {components!r}", line_number) from None
         if not np.isfinite(values).all():
             raise VectorFormatError("non-finite vector component", line_number)
-        if word in rows or word in unheld:
-            duplicates += 1
-        elif vocabulary is None or word in vocabulary:
-            rows[word] = held
+        self._count(word)
+
+    def take_block(self, block: list[str]) -> bool:
+        """Take a block of data lines through numpy's text reader, or return False and change nothing.
+
+        The block is refused when a row has no components or an embedded
+        line break, when the reader raises, or when the values are not a
+        ``(rows, dimension)`` array of finite numbers. For ASCII tokens
+        the reader and ``float()`` both convert with CPython's
+        ``PyOS_string_to_double``, so an accepted block has the bits the
+        per-line check gives it.
+        """
+        words: list[str] = []
+        rests: list[str] = []
+        for raw_line in block:
+            parts = raw_line.strip().split(None, 1)
+            if not parts:
+                continue
+            # The reader skips empty lines and ends a line at "\r" or
+            # "\n", so a word-only row or an embedded break must not reach it.
+            if len(parts) == 1 or "\r" in parts[1] or "\n" in parts[1]:
+                return False
+            words.append(parts[0])
+            rests.append(parts[1])
+        if not rests:
+            return True
+        try:
+            values = np.loadtxt(rests, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            return False
+        if values.shape != (len(rests), self.dimension) or not np.isfinite(values).all():
+            return False
+        first = len(self.rows)
+        kept = [index for index, word in enumerate(words) if self._count(word)]
+        self.data_rows += len(words)
+        if len(self.rows) > len(self.matrix):
+            self.matrix.resize((max(2 * len(self.matrix), len(self.rows)), self.dimension), refcheck=False)
+        self.matrix[first: len(self.rows)] = values[kept]
+        return True
+
+    def _count(self, word: str) -> bool:
+        """Record one data row's word; True when its row is held as the next row of the matrix."""
+        if word in self.rows or word in self.unheld:
+            self.duplicates += 1
+        elif self.vocabulary is None or word in self.vocabulary:
+            self.rows[word] = len(self.rows)
+            return True
         else:
-            unheld.add(word)
-    if dimension is None:
-        raise VectorFormatError("empty vector stream", line_number or None)
-    if declared is not None and declared[0] != data_rows:
-        raise VectorFormatError(f"header declares {declared[0]} rows, the file has {data_rows}", declared[1])
-    if matrix is None:
-        matrix = np.empty((0, dimension))
-    else:
-        matrix.resize((len(rows), dimension), refcheck=False)
-    return EmbeddingStore._of_rows(matrix, rows, metadata, duplicates, len(rows) + len(unheld))
+            self.unheld.add(word)
+        return False
+
+    def store(self, metadata: str, line_count: int) -> EmbeddingStore:
+        """The store of the rows held, after the last of ``line_count`` lines has been taken."""
+        if self.dimension is None:
+            raise VectorFormatError("empty vector stream", line_count or None)
+        if self.declared is not None and self.declared[0] != self.data_rows:
+            raise VectorFormatError(
+                f"header declares {self.declared[0]} rows, the file has {self.data_rows}", self.declared[1]
+            )
+        matrix = self.matrix
+        if matrix is None:
+            matrix = np.empty((0, self.dimension))
+        else:
+            matrix.resize((len(self.rows), self.dimension), refcheck=False)
+        return EmbeddingStore._of_rows(matrix, self.rows, metadata, self.duplicates,
+                                       len(self.rows) + len(self.unheld))
 
 
 def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:

@@ -135,14 +135,22 @@ def weighted_quantile(values: Sequence[tuple[float, float]], q: float) -> float:
         raise EmptySetError("weighted quantile of an empty list")
     data = np.asarray([v for v, _ in values], dtype=np.float64)
     weights = np.asarray([w for _, w in values], dtype=np.float64)
+    (value,) = _lower_quantiles(data, weights, (q,))
+    return value
+
+
+def _lower_quantiles(data: np.ndarray, weights: np.ndarray, fractions: Sequence[float]) -> list[float]:
+    """``weighted_quantile`` at each fraction, from one sort of the values."""
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
     order = np.argsort(data, kind="stable")
     data = data[order]
     cumulative = np.cumsum(weights[order])
-    target = q * cumulative[-1]
-    idx = int(np.searchsorted(cumulative, target, side="left"))
-    return float(data[min(idx, len(data) - 1)])
+    quantiles = []
+    for q in fractions:
+        idx = int(np.searchsorted(cumulative, q * cumulative[-1], side="left"))
+        quantiles.append(float(data[min(idx, len(data) - 1)]))
+    return quantiles
 
 
 def weighted_box_stats(values: Sequence[float], weights: Sequence[float]) -> BoxStats:
@@ -151,15 +159,12 @@ def weighted_box_stats(values: Sequence[float], weights: Sequence[float]) -> Box
         raise EmptySetError("box statistics of an empty list")
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    pairs = list(zip(values, weights))
-    q1 = weighted_quantile(pairs, 0.25)
-    median = weighted_quantile(pairs, 0.5)
-    q3 = weighted_quantile(pairs, 0.75)
+    data = np.asarray(values, dtype=np.float64)
+    wts = np.asarray(weights, dtype=np.float64)
+    q1, median, q3 = _lower_quantiles(data, wts, (0.25, 0.5, 0.75))
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr
     high_fence = q3 + 1.5 * iqr
-    data = np.asarray(values, dtype=np.float64)
-    wts = np.asarray(weights, dtype=np.float64)
     inside = (data >= low_fence) & (data <= high_fence)
     # Fences always capture the quartiles, so `inside` is non-empty.
     whisker_low = float(data[inside].min())

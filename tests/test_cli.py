@@ -299,6 +299,26 @@ def test_vector_header_count_mismatch_names_file_and_line(workdir):
     assert not list((workdir / "out").glob("toy_analysis*"))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('[{"verb": "rompere", "role": "S"}]', "entry 1 has no 'fillers' field"),
+        ('{"a": 1}', "database must be a JSON list of lexical sets"),
+        ('[{"verb": "rompere", "role": "S", "fillers": [', "Expecting value: line 1"),
+        ('[{"verb": "rompere", "role": "S", "fillers": [{"lemma": "ramo", "count": "abc"}]}]',
+         "filler 'ramo' of verb 'rompere' needs a string lemma and an integer count, got count 'abc'"),
+    ],
+    ids=["missing-key", "not-a-list", "truncated", "string-count"],
+)
+def test_malformed_database_exits_two_and_names_the_file(workdir, text, message):
+    (workdir / "bad.json").write_text(text, encoding="utf-8")
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json", "--database", "bad.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: bad.json: {message}")
+    assert "Traceback" not in result.stderr
+    assert not (workdir / "out").exists()
+
+
 def test_usage_error_exits_one(workdir):
     result = run_cli(workdir, "frobnicate")
     assert result.returncode == 1

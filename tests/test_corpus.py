@@ -1,4 +1,5 @@
 import io
+import re
 from collections import Counter
 import tempfile
 from pathlib import Path
@@ -591,3 +592,27 @@ def test_read_database_rejects_bad_role():
     buffer = io.StringIO('[{"verb": "v", "role": "X", "fillers": []}]')
     with pytest.raises(ValueError):
         read_database(buffer)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"verb": "v"}', "database must be a JSON list"),
+        ('[["v", "S", []]]', "entry 1 is not a JSON object"),
+        ('[{"verb": "v", "fillers": []}]', "entry 1 has no 'role' field"),
+        ('[{"verb": "v", "role": "S", "fillers": {}}]', "entry 1 needs a string verb and a list of fillers"),
+        ('[{"verb": 3, "role": "S", "fillers": []}]', "entry 1 needs a string verb"),
+        ('[{"verb": "v", "role": "S", "fillers": ["a"]}]', "a filler of entry 1 is not a JSON object"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"count": 1}]}]', "a filler of entry 1 has no 'lemma' field"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 1.5}]}]', "an integer count, got count 1.5"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": true}]}]', "an integer count, got count True"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": 7, "count": 1}]}]', "needs a string lemma"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": ["a"], "count": 1}]}]', "needs a string lemma"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 2}, {"lemma": "a", "count": 5}]}]',
+         "duplicate filler 'a' for verb 'v'"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 0}]}]', "non-positive filler count"),
+    ],
+)
+def test_read_database_rejects_malformed_entries(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_database(io.StringIO(text))

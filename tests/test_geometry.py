@@ -311,3 +311,17 @@ def test_box_ordering_invariant_randomized():
         assert (
             s.minimum <= s.whisker_low <= s.q1 <= s.median <= s.q3 <= s.whisker_high <= s.maximum
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.5, 0.9, 1.4]) | st.floats(-5, 5), st.integers(1, 6)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_box_quartiles_are_three_quantile_calls_bit_for_bit(pairs):
+    stats = weighted_box_stats([v for v, _ in pairs], [w for _, w in pairs])
+    expected = [weighted_quantile(pairs, q) for q in (0.25, 0.5, 0.75)]
+    assert [x.hex() for x in (stats.q1, stats.median, stats.q3)] == [x.hex() for x in expected]
