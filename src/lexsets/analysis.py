@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -91,21 +92,24 @@ class VerbInventory:
 
 
 def load_inventory(stream: IO[str], reference_stream: IO[str] | None = None) -> VerbInventory:
-    """Read an inventory JSON array of {gloss, lemma, spontaneity_rank}."""
+    """Read an inventory JSON array of {gloss, lemma, spontaneity_rank}.
+
+    Values are taken as they are, never converted: InputError names the
+    first entry that is not an object with a string gloss, a string
+    lemma and a JSON-integer rank.
+    """
     data = json.load(stream)
     if not isinstance(data, list):
         raise InputError("inventory file must be a JSON array")
-    try:
-        entries = [
-            InventoryEntry(
-                gloss=str(item["gloss"]),
-                lemma=str(item["lemma"]),
-                spontaneity_rank=int(item["spontaneity_rank"]),
-            )
-            for item in data
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed inventory entry: {exc}") from None
+    entries = []
+    for number, item in enumerate(data, start=1):
+        values = item if isinstance(item, dict) else {}
+        gloss, lemma, rank = values.get("gloss"), values.get("lemma"), values.get("spontaneity_rank")
+        # type() rather than isinstance(): JSON true and false load as bools, which are ints
+        if not isinstance(gloss, str) or not isinstance(lemma, str) or type(rank) is not int:
+            raise InputError(f"inventory entry {number} needs a string gloss, a string lemma and an integer"
+                             f" spontaneity_rank, got {item!r}")
+        entries.append(InventoryEntry(gloss=gloss, lemma=lemma, spontaneity_rank=rank))
     reference = None
     if reference_stream is not None:
         reference = load_reference_ranking(reference_stream)
@@ -113,14 +117,28 @@ def load_inventory(stream: IO[str], reference_stream: IO[str] | None = None) -> 
 
 
 def load_reference_ranking(stream: IO[str]) -> dict[str, float]:
-    """Read a reference ranking JSON array of {lemma, rank}."""
+    """Read a reference ranking JSON array of {lemma, rank}.
+
+    InputError names the first entry that is not an object with a string
+    lemma and a finite JSON number (not true or false) as its rank, or
+    that repeats a lemma.
+    """
     data = json.load(stream)
     if not isinstance(data, list):
         raise InputError("reference ranking file must be a JSON array")
-    try:
-        return {str(item["lemma"]): float(item["rank"]) for item in data}
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed reference-ranking entry: {exc}") from None
+    ranking = {}
+    for number, item in enumerate(data, start=1):
+        values = item if isinstance(item, dict) else {}
+        lemma, rank = values.get("lemma"), values.get("rank")
+        # NaN fails both comparisons, and so does an integer too large to convert to a float
+        if (not isinstance(lemma, str) or type(rank) not in (int, float)
+                or not -sys.float_info.max <= rank <= sys.float_info.max):
+            raise InputError(f"reference-ranking entry {number} needs a string lemma and a finite numeric rank,"
+                             f" got {item!r}")
+        if lemma in ranking:
+            raise InputError(f"reference-ranking entry {number} repeats lemma {lemma!r}")
+        ranking[lemma] = float(rank)
+    return ranking
 
 
 def default_inventory() -> VerbInventory:

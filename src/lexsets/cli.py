@@ -17,12 +17,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
 from . import report
-from .analysis import RANK_DIRECTIONS, VerbInventory, analyze_lexical_sets, load_inventory
+from .analysis import RANK_DIRECTIONS, VerbInventory, analyze_lexical_sets, load_inventory, load_reference_ranking
 from .corpus import (
     ExtractionRules,
     ParseStats,
@@ -45,10 +45,10 @@ EXIT_EMPTY = 3
 
 @dataclass
 class RunConfig:
-    corpus_paths: list[str]
-    vectors_path: str
-    inventory_path: str
-    output_prefix: str
+    corpus_paths: list[str] = field(default_factory=list)
+    vectors_path: str = ""
+    inventory_path: str = ""
+    output_prefix: str = ""
     reference_ranking_path: str | None = None
     rules: ExtractionRules = field(default_factory=ExtractionRules)
     strict_parsing: bool = False
@@ -99,37 +99,23 @@ def load_config(path: str | Path) -> RunConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad extraction rules: {exc}") from None
     try:
-        return RunConfig(
-            corpus_paths=data.get("corpus_paths", []),
-            vectors_path=data.get("vectors_path", ""),
-            inventory_path=data.get("inventory_path", ""),
-            reference_ranking_path=data.get("reference_ranking_path"),
-            output_prefix=data.get("output_prefix", ""),
-            rules=rules,
-            strict_parsing=data.get("strict_parsing", False),
-            worker_count=data.get("worker_count", 1),
-            distance_rank_direction=data.get("distance_rank_direction", "ascending"),
-            overlap_rank_direction=data.get("overlap_rank_direction", "descending"),
-            verbose_geometry=data.get("verbose_geometry", False),
-        )
+        return RunConfig(**{**data, "rules": rules})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "output_prefix", None):
+    if args.output_prefix:
         config.output_prefix = args.output_prefix
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         config.worker_count = args.workers
-    if getattr(args, "strict", False):
+    if args.strict:
         config.strict_parsing = True
-    if getattr(args, "max_sentence_length", None) is not None:
-        rules = config.rules.to_dict()
-        rules["max_sentence_length"] = args.max_sentence_length
+    if args.max_sentence_length is not None:
         try:
-            config.rules = ExtractionRules.from_dict(rules)
+            config.rules = replace(config.rules, max_sentence_length=args.max_sentence_length)
         except ValueError as exc:
             raise ConfigError(f"bad --max-sentence-length: {exc}") from None
     return config
@@ -141,16 +127,24 @@ def _check_readable(paths: list[str]) -> None:
             raise FileNotFoundError(path)
 
 
-def _load_inventory(config: RunConfig) -> VerbInventory:
-    reference = None
-    if config.reference_ranking_path:
-        reference = open(config.reference_ranking_path, encoding="utf-8")
+def _read_input(path: str, read):
+    """``read`` applied to the text of ``path``; malformed content raises InputError naming the path."""
     try:
-        with open(config.inventory_path, encoding="utf-8") as stream:
-            return load_inventory(stream, reference)
-    finally:
-        if reference is not None:
-            reference.close()
+        with open(path, encoding="utf-8") as stream:
+            return read(stream)
+    except (InputError, ValueError) as exc:  # bad JSON or entries, or undecodable bytes
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _load_inventory(config: RunConfig) -> VerbInventory:
+    inventory = _read_input(config.inventory_path, load_inventory)
+    if not config.reference_ranking_path:
+        return inventory
+    reference = _read_input(config.reference_ranking_path, load_reference_ranking)
+    try:
+        return VerbInventory(inventory.entries, reference)
+    except InputError as exc:
+        raise InputError(f"{config.reference_ranking_path}: {exc}") from None
 
 
 def _prefix_path(config: RunConfig, suffix: str) -> Path:
@@ -342,11 +336,7 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
     _check_readable([database_path, config.vectors_path, config.inventory_path])
     if config.reference_ranking_path:
         _check_readable([config.reference_ranking_path])
-    try:
-        with open(database_path, encoding="utf-8") as stream:
-            sets = read_database(stream)
-    except ValueError as exc:  # malformed JSON or entries, or undecodable bytes
-        raise InputError(f"{database_path}: {exc}") from None
+    sets = _read_input(database_path, read_database)
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     try:
         with open(config.vectors_path, encoding="utf-8") as stream:
@@ -415,6 +405,7 @@ def cmd_validate_config(path: str) -> int:
         for item in missing:
             print(f"error: missing input file: {item}", file=sys.stderr)
         return EXIT_INPUT
+    _load_inventory(config)
     print(f"config {path} is valid")
     return EXIT_OK
 
@@ -466,9 +457,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConllParseError, VectorFormatError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (LexsetsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from operator import eq, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -92,14 +93,9 @@ class ExtractionRules:
                     raise ValueError(f"relation-label sets must be disjoint, got {sorted(overlap)} in two sets")
 
     def to_dict(self) -> dict:
-        return {
-            "object_relations": sorted(self.object_relations),
-            "passive_subject_relations": sorted(self.passive_subject_relations),
-            "subject_relations": sorted(self.subject_relations),
-            "clitic_lemma": self.clitic_lemma,
-            "max_sentence_length": self.max_sentence_length,
-            "verb_pos_tags": sorted(self.verb_pos_tags),
-        }
+        """The rules as JSON-ready values in field order, each label set as a sorted list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: sorted(value) if isinstance(value, frozenset) else value for name, value in values.items()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExtractionRules":
@@ -108,13 +104,13 @@ class ExtractionRules:
         if unknown:
             raise ValueError(f"unknown extraction-rule fields: {sorted(unknown)}")
         kwargs = dict(data)
-        for name in ("object_relations", "passive_subject_relations", "subject_relations", "verb_pos_tags"):
-            if name in kwargs:
-                labels = kwargs[name]
+        for f in fields(cls):
+            if f.name in kwargs and isinstance(f.default, frozenset):
+                labels = kwargs[f.name]
                 # a string is iterable too, and would become the set of its characters
                 if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-                    raise ValueError(f"{name} must be a list of strings, got {labels!r}")
-                kwargs[name] = frozenset(labels)
+                    raise ValueError(f"{f.name} must be a list of strings, got {labels!r}")
+                kwargs[f.name] = frozenset(labels)
         return cls(**kwargs)
 
 
@@ -142,20 +138,11 @@ class ParseStats:
     range_lines_skipped: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "sentences_parsed": self.sentences_parsed,
-            "sentences_skipped": self.sentences_skipped,
-            "malformed_lines": self.malformed_lines,
-            "comment_lines": self.comment_lines,
-            "range_lines_skipped": self.range_lines_skipped,
-        }
+        return asdict(self)
 
     def update(self, other: "ParseStats") -> None:
-        self.sentences_parsed += other.sentences_parsed
-        self.sentences_skipped += other.sentences_skipped
-        self.malformed_lines += other.malformed_lines
-        self.comment_lines += other.comment_lines
-        self.range_lines_skipped += other.range_lines_skipped
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _line_error(parts: list[str], columns: ColumnMap, min_fields: int) -> str:
@@ -226,35 +213,28 @@ def parse_conll(
     source_id = ""
     bad_block = False
 
-    def flush() -> Sentence | None:
-        nonlocal source_id, bad_block
-        sid, source_id = source_id, ""
-        was_bad, bad_block = bad_block, False
-        try:
-            if was_bad:
-                stats.sentences_skipped += 1
-                return None
-            if not tokens:
-                return None
-            sentence = _finish_sentence(tokens, line_numbers, sid)
-            stats.sentences_parsed += 1
-            return sentence
-        finally:
-            tokens.clear()
-            line_numbers.clear()
-
     line_number = 0
-    for raw_line in stream:
+    # The empty line after the stream ends the last sentence like any
+    # blank line. Its line number is never reported: errors name token lines.
+    for raw_line in chain(stream, ("",)):
         line_number += 1
         line = raw_line.rstrip("\r\n")
         if not line.strip():
-            try:
-                sentence = flush()
-            except ConllParseError:
-                if strict:
-                    raise
+            sentence = None
+            if bad_block:
                 stats.sentences_skipped += 1
-                sentence = None
+            elif tokens:
+                try:
+                    sentence = _finish_sentence(tokens, line_numbers, source_id)
+                    stats.sentences_parsed += 1
+                except ConllParseError:
+                    if strict:
+                        raise
+                    stats.sentences_skipped += 1
+            tokens.clear()
+            line_numbers.clear()
+            source_id = ""
+            bad_block = False
             if sentence is not None:
                 yield sentence
             continue
@@ -298,16 +278,6 @@ def parse_conll(
         if not bad_block:
             add_token(new_token(Token, (index, parts[surface_column], lemma, parts[upos_column], head, deprel)))
             add_line_number(line_number)
-
-    try:
-        sentence = flush()
-    except ConllParseError:
-        if strict:
-            raise
-        stats.sentences_skipped += 1
-        sentence = None
-    if sentence is not None:
-        yield sentence
 
 
 def passes_length_filter(sentence: Sentence, rules: ExtractionRules) -> bool:

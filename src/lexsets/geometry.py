@@ -7,7 +7,7 @@ weighted quantiles of the cosine distances from that centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,16 +48,7 @@ class BoxStats:
     outlier_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "minimum": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "maximum": self.maximum,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outlier_count": self.outlier_count,
-        }
+        return asdict(self)
 
 
 def compute_set_geometry(lex_set: LexicalSet, store: EmbeddingStore) -> SetGeometry:

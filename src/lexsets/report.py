@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .analysis import AnalysisResult
@@ -309,11 +309,7 @@ def emit_tables(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, s
     return buffer.getvalue(), json.dumps(json_rows, ensure_ascii=False, indent=2) + "\n"
 
 
-GEOMETRY_COLUMNS = [
-    "verb", "role", "covered_tokens", "oov_tokens", "oov_types",
-    "minimum", "q1", "median", "q3", "maximum",
-    "whisker_low", "whisker_high", "outlier_count",
-]
+GEOMETRY_COLUMNS = ["verb", "role", "covered_tokens", "oov_tokens", "oov_types", *(f.name for f in fields(BoxStats))]
 
 ANALYSIS_COLUMNS = [
     "verb", "gloss", "spontaneity_rank", "s_median", "o_median",

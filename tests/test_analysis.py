@@ -418,6 +418,32 @@ def test_load_inventory_and_reference(tmp_path):
         load_inventory(io.StringIO('{"not": "a list"}'))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"lemma": "aprire", "rank": True},
+        {"lemma": "aprire", "rank": "1"},
+        {"lemma": 3, "rank": 1},
+        {"lemma": "aprire"},
+        1,
+        {"lemma": "aprire", "rank": float("nan")},
+        {"lemma": "aprire", "rank": float("-inf")},
+        {"lemma": "aprire", "rank": 10**400},
+    ],
+)
+def test_reference_ranking_entries_are_not_converted(entry):
+    text = json.dumps([{"lemma": "chiudere", "rank": 2}, entry])
+    with pytest.raises(InputError, match="reference-ranking entry 2 needs a string lemma and a finite numeric rank"):
+        load_reference_ranking(io.StringIO(text))
+
+
+def test_reference_ranking_rejects_a_repeated_lemma():
+    entries = [{"lemma": "chiudere", "rank": 2}, {"lemma": "aprire", "rank": 1}, {"lemma": "chiudere", "rank": 3}]
+    text = json.dumps(entries)
+    with pytest.raises(InputError, match="reference-ranking entry 3 repeats lemma 'chiudere'"):
+        load_reference_ranking(io.StringIO(text))
+
+
 # --- split-half -------------------------------------------------------------------
 
 

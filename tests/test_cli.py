@@ -319,6 +319,43 @@ def test_malformed_database_exits_two_and_names_the_file(workdir, text, message)
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"gloss": "close", "lemma": "chiudere", "spontaneity_rank": 1.9},
+        {"gloss": "close", "lemma": 7, "spontaneity_rank": 1},
+        {"gloss": "close", "lemma": "chiudere", "spontaneity_rank": "x"},
+        [1, 2],
+        {"gloss": "close", "lemma": "chiudere", "spontaneity_rank": True},
+    ],
+    ids=["float-rank", "integer-lemma", "string-rank", "list-entry", "boolean-rank"],
+)
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_malformed_inventory_entry_exits_two_and_names_the_file(workdir, entry, command):
+    inventory = json.loads((workdir / "toy_inventory.json").read_text())
+    inventory[0] = entry
+    (workdir / "toy_inventory.json").write_text(json.dumps(inventory))
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy_inventory.json: inventory entry 1 needs a string gloss, a string lemma"
+                                    f" and an integer spontaneity_rank, got {entry!r}")
+    assert "Traceback" not in result.stderr
+    assert not (workdir / "out").exists()
+
+
+def test_malformed_reference_ranking_names_its_file(workdir):
+    lemmas = [entry["lemma"] for entry in json.loads((workdir / "toy_inventory.json").read_text())]
+    ranking = [{"lemma": lemma, "rank": rank} for rank, lemma in enumerate(lemmas, start=1)]
+    ranking[1]["rank"] = False
+    (workdir / "reference.json").write_text(json.dumps(ranking))
+    set_config_field(workdir, "reference_ranking_path", "reference.json")
+    result = run_cli(workdir, "run", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: reference.json: reference-ranking entry 2 needs a string lemma"
+                                    " and a finite numeric rank, got {'lemma': 'aprire', 'rank': False}")
+    assert not (workdir / "out").exists()
+
+
 def test_usage_error_exits_one(workdir):
     result = run_cli(workdir, "frobnicate")
     assert result.returncode == 1
@@ -417,6 +454,13 @@ def test_max_sentence_length_override(workdir):
     assert manifest["sentences_processed"] == 0
 
 
+def test_zero_max_sentence_length_is_a_usage_error(workdir):
+    result = run_cli(workdir, "extract", "--config", "toy_config.json", "--max-sentence-length", "0")
+    assert result.returncode == 1
+    assert "bad --max-sentence-length: max_sentence_length must be >= 1" in result.stderr
+    assert not (workdir / "out").exists()
+
+
 def test_zero_workers_is_a_usage_error(workdir):
     result = run_cli(workdir, "extract", "--config", "toy_config.json", "--workers", "0")
     assert result.returncode == 1
@@ -470,6 +514,13 @@ def test_load_config_requires_fields(tmp_path):
     path.write_text(json.dumps({"corpus_paths": ["x"]}))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_run_config_defaults_reach_the_required_field_checks():
+    with pytest.raises(ConfigError, match="corpus_paths must list at least one file"):
+        cli.RunConfig()
+    with pytest.raises(ConfigError, match="vectors_path is required"):
+        cli.RunConfig(corpus_paths=["toy.conllu"])
 
 
 def test_main_in_process_usage_error():
