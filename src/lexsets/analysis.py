@@ -91,12 +91,13 @@ class VerbInventory:
         return VerbInventory(entries=entries, reference_ranking=reference)
 
 
-def load_inventory(stream: IO[str], reference_stream: IO[str] | None = None) -> VerbInventory:
+def load_inventory(stream: IO[str]) -> VerbInventory:
     """Read an inventory JSON array of {gloss, lemma, spontaneity_rank}.
 
     Values are taken as they are, never converted: InputError names the
     first entry that is not an object with a string gloss, a string
-    lemma and a JSON-integer rank.
+    lemma and a JSON-integer rank. A reference ranking is attached with
+    ``VerbInventory(entries, load_reference_ranking(...))``.
     """
     data = json.load(stream)
     if not isinstance(data, list):
@@ -110,10 +111,7 @@ def load_inventory(stream: IO[str], reference_stream: IO[str] | None = None) -> 
             raise InputError(f"inventory entry {number} needs a string gloss, a string lemma and an integer"
                              f" spontaneity_rank, got {item!r}")
         entries.append(InventoryEntry(gloss=gloss, lemma=lemma, spontaneity_rank=rank))
-    reference = None
-    if reference_stream is not None:
-        reference = load_reference_ranking(reference_stream)
-    return VerbInventory(entries=entries, reference_ranking=reference)
+    return VerbInventory(entries=entries)
 
 
 def load_reference_ranking(stream: IO[str]) -> dict[str, float]:
@@ -338,7 +336,11 @@ def split_half_median_average(
 
 @dataclass
 class VerbResult:
-    """Per-verb summary row of the analysis report."""
+    """Per-verb summary row of the analysis report, one column per field.
+
+    The three ranks are over the included verbs only, so
+    ``analyze_lexical_sets`` fills them in once every verb is measured.
+    """
 
     lemma: str
     gloss: str
@@ -347,9 +349,9 @@ class VerbResult:
     o_median: float
     centroid_distance: float
     weighted_overlap: float
-    reference_rank: float
-    distance_rank: float
-    overlap_rank: float
+    reference_rank: float = math.nan
+    distance_rank: float = math.nan
+    overlap_rank: float = math.nan
 
 
 @dataclass
@@ -384,7 +386,6 @@ def analyze_lexical_sets(
     S-O separation (and high overlap) with the low end of the scale.
     """
     result = AnalysisResult()
-    per_verb: dict[str, dict] = {}
 
     for entry in inventory.ordered_entries():
         lemma = entry.lemma
@@ -422,46 +423,31 @@ def analyze_lexical_sets(
             for _, distance, weight in geometry.filler_distances
             if distance > 1.0
         )
-        per_verb[lemma] = {
-            "entry": entry,
-            "s_median": s_box.median,
-            "o_median": o_box.median,
-            "distance": dist,
-            "overlap": weighted_overlap(sets[(lemma, ROLE_S)], sets[(lemma, ROLE_O)]),
-        }
+        result.verbs.append(VerbResult(
+            lemma=lemma,
+            gloss=entry.gloss,
+            spontaneity_rank=entry.spontaneity_rank,
+            s_median=s_box.median,
+            o_median=o_box.median,
+            centroid_distance=dist,
+            weighted_overlap=weighted_overlap(sets[(lemma, ROLE_S)], sets[(lemma, ROLE_O)]),
+        ))
 
-    if not per_verb:
+    if not result.verbs:
         return result
 
-    included = inventory.restricted_to(per_verb.keys())
+    included = inventory.restricted_to(v.lemma for v in result.verbs)
     reference_ranks = included.reference_ranking
     if reference_ranks is None:
         reference_ranks = {lemma: float(rank) for lemma, rank in included.spontaneity_ranks().items()}
-    distance_ranks = rank_values(
-        [(lemma, per_verb[lemma]["distance"]) for lemma in included.lemmas], distance_rank_direction
-    )
-    overlap_ranks = rank_values(
-        [(lemma, per_verb[lemma]["overlap"]) for lemma in included.lemmas], overlap_rank_direction
-    )
+    distance_ranks = rank_values([(v.lemma, v.centroid_distance) for v in result.verbs], distance_rank_direction)
+    overlap_ranks = rank_values([(v.lemma, v.weighted_overlap) for v in result.verbs], overlap_rank_direction)
+    for verb in result.verbs:
+        verb.reference_rank = reference_ranks[verb.lemma]
+        verb.distance_rank = distance_ranks[verb.lemma]
+        verb.overlap_rank = overlap_ranks[verb.lemma]
 
-    for entry in included.ordered_entries():
-        info = per_verb[entry.lemma]
-        result.verbs.append(
-            VerbResult(
-                lemma=entry.lemma,
-                gloss=entry.gloss,
-                spontaneity_rank=info["entry"].spontaneity_rank,
-                s_median=info["s_median"],
-                o_median=info["o_median"],
-                centroid_distance=info["distance"],
-                weighted_overlap=info["overlap"],
-                reference_rank=reference_ranks[entry.lemma],
-                distance_rank=distance_ranks[entry.lemma],
-                overlap_rank=overlap_ranks[entry.lemma],
-            )
-        )
-
-    if len(per_verb) >= 3:
+    if len(result.verbs) >= 3:
         try:
             result.distance_correlation = spearman(distance_ranks, reference_ranks)
         except UndefinedCorrelationError:
@@ -473,9 +459,9 @@ def analyze_lexical_sets(
     else:
         result.notes.append("fewer than 3 verbs included; correlations skipped")
 
-    if len(per_verb) >= 2:
-        s_medians = {lemma: per_verb[lemma]["s_median"] for lemma in per_verb}
-        o_medians = {lemma: per_verb[lemma]["o_median"] for lemma in per_verb}
+    if len(result.verbs) >= 2:
+        s_medians = {v.lemma: v.s_median for v in result.verbs}
+        o_medians = {v.lemma: v.o_median for v in result.verbs}
         result.s_split_half = split_half_median_average(included, s_medians, ROLE_S)
         result.o_split_half = split_half_median_average(included, o_medians, ROLE_O)
     else:

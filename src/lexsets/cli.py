@@ -62,12 +62,14 @@ class RunConfig:
             raise ConfigError(f"corpus_paths must be a list of file paths, got {self.corpus_paths!r}")
         if not self.corpus_paths:
             raise ConfigError("corpus_paths must list at least one file")
-        if not self.vectors_path:
-            raise ConfigError("vectors_path is required")
-        if not self.inventory_path:
-            raise ConfigError("inventory_path is required")
-        if not self.output_prefix:
-            raise ConfigError("output_prefix is required")
+        for name in ("vectors_path", "inventory_path", "output_prefix"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a file path, got {getattr(self, name)!r}")
+            if not getattr(self, name):
+                raise ConfigError(f"{name} is required")
+        if not isinstance(self.reference_ranking_path, (str, type(None))):
+            raise ConfigError(f"reference_ranking_path must be a file path or null,"
+                              f" got {self.reference_ranking_path!r}")
         for name in ("strict_parsing", "verbose_geometry"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -128,11 +130,15 @@ def _check_readable(paths: list[str]) -> None:
 
 
 def _read_input(path: str, read):
-    """``read`` applied to the text of ``path``; malformed content raises InputError naming the path."""
+    """``read`` applied to the text of ``path``; malformed content raises an error naming the path."""
     try:
         with open(path, encoding="utf-8") as stream:
             return read(stream)
-    except (InputError, ValueError) as exc:  # bad JSON or entries, or undecodable bytes
+    except VectorFormatError as exc:
+        raise VectorFormatError(exc.reason, exc.line_number, path) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    except (InputError, ValueError) as exc:  # bad JSON or entries
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -171,12 +177,6 @@ def _atomic_output(path: Path):
 def _write_text(path: Path, text: str) -> None:
     with _atomic_output(path) as stream:
         stream.write(text)
-
-
-def _write_json(path: Path, obj) -> None:
-    with _atomic_output(path) as stream:
-        json.dump(obj, stream, ensure_ascii=False, indent=2)
-        stream.write("\n")
 
 
 class _ByteRange(io.RawIOBase):
@@ -325,7 +325,7 @@ def cmd_extract(config: RunConfig) -> int:
         write_database(sets, stream)
     with _atomic_output(_prefix_path(config, "lexsets.tsv")) as stream:
         write_database_tsv(sets, stream)
-    _write_json(_prefix_path(config, "manifest.json"), manifest)
+    _write_text(_prefix_path(config, "manifest.json"), report.json_text(manifest))
     if not sets:
         print("warning: no target-verb occurrences found; database is empty", file=sys.stderr)
     return EXIT_OK
@@ -338,13 +338,9 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
         _check_readable([config.reference_ranking_path])
     sets = _read_input(database_path, read_database)
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
-    try:
-        with open(config.vectors_path, encoding="utf-8") as stream:
-            store = load_text_vectors(stream, metadata=str(config.vectors_path), vocabulary=fillers)
-    except VectorFormatError as exc:
-        raise VectorFormatError(exc.reason, exc.line_number, config.vectors_path) from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{config.vectors_path}: not valid UTF-8 text ({exc.reason})") from None
+    # a lambda looks up load_text_vectors when it runs, so a wrapper set on this module sees the call
+    store = _read_input(config.vectors_path,
+                        lambda stream: load_text_vectors(stream, metadata=config.vectors_path, vocabulary=fillers))
     inventory = _load_inventory(config)
 
     result = analyze_lexical_sets(
@@ -370,17 +366,12 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
         "verbs_included": [v.lemma for v in result.verbs],
         "verbs_excluded": result.excluded,
         "coverage": {
-            f"{verb}/{role}": {
-                "covered_tokens": geometry.covered_tokens,
-                "oov_tokens": geometry.oov_tokens,
-                "oov_types": geometry.oov_types,
-            }
-            for (verb, role), geometry in sorted(result.geometries.items())
+            f"{verb}/{role}": geometry.coverage() for (verb, role), geometry in sorted(result.geometries.items())
         },
         "distances_above_one": result.distances_above_one,
         "notes": result.notes,
     }
-    _write_json(_prefix_path(config, "analysis_manifest.json"), manifest)
+    _write_text(_prefix_path(config, "analysis_manifest.json"), report.json_text(manifest))
 
     if not result.verbs:
         print("error: every inventory verb was excluded from the analysis", file=sys.stderr)

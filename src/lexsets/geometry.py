@@ -7,7 +7,7 @@ weighted quantiles of the cosine distances from that centre.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,14 @@ class SetGeometry:
     covered_tokens: int
     oov_tokens: int
     oov_types: int
+
+    def coverage(self) -> dict[str, int]:
+        """This set's ``COVERAGE_FIELDS`` by name, as the geometry table and the analysis manifest report them."""
+        return {name: getattr(self, name) for name in COVERAGE_FIELDS}
+
+
+#: The token and type counts of a ``SetGeometry``: its fields after ``filler_distances``.
+COVERAGE_FIELDS = tuple(f.name for f in fields(SetGeometry))[4:]
 
 
 @dataclass(frozen=True)

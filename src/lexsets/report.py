@@ -11,13 +11,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Mapping, Sequence
 
-from .analysis import AnalysisResult
+from .analysis import AnalysisResult, VerbResult
 from .corpus import ROLE_O, ROLE_S
 from .errors import PlotSpecError
-from .geometry import BoxStats
+from .geometry import COVERAGE_FIELDS, BoxStats
 
 KINDS = ("box_whisker_panel", "median_by_rank", "ranking_comparison")
 
@@ -298,76 +298,53 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_tables(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, str]:
-    """Render rows as (CSV text, JSON text) with matching 6-decimal numbers."""
+def json_text(obj) -> str:
+    """``obj`` as the text of every JSON artifact: raw UTF-8, two-space indent, a final newline."""
+    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+
+
+def _table(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, list[dict]]:
+    """CSV text of ``rows`` and the same rows with their floats rounded to 6 decimals."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(column)) for column in columns])
-    json_rows = [{column: _round_cell(row.get(column)) for column in columns} for row in rows]
-    return buffer.getvalue(), json.dumps(json_rows, ensure_ascii=False, indent=2) + "\n"
+    writer.writerows([_csv_cell(row.get(column)) for column in columns] for row in rows)
+    return buffer.getvalue(), [{column: _round_cell(row.get(column)) for column in columns} for row in rows]
 
 
-GEOMETRY_COLUMNS = ["verb", "role", "covered_tokens", "oov_tokens", "oov_types", *(f.name for f in fields(BoxStats))]
+def emit_tables(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, str]:
+    """Render rows as (CSV text, JSON text) with matching 6-decimal numbers."""
+    csv_text, rounded = _table(rows, columns)
+    return csv_text, json_text(rounded)
 
-ANALYSIS_COLUMNS = [
-    "verb", "gloss", "spontaneity_rank", "s_median", "o_median",
-    "centroid_distance", "weighted_overlap",
-    "reference_rank", "distance_rank", "overlap_rank",
-]
+
+GEOMETRY_COLUMNS = ["verb", "role", *COVERAGE_FIELDS, *(f.name for f in fields(BoxStats))]
+
+# one column per VerbResult field, in field order; the lemma is headed "verb"
+ANALYSIS_COLUMNS = ["verb" if f.name == "lemma" else f.name for f in fields(VerbResult)]
 
 
 def geometry_rows(result: AnalysisResult) -> list[dict]:
-    rows = []
-    for (verb, role), geometry in sorted(
-        result.geometries.items(), key=lambda kv: (kv[0][0], kv[0][1] != ROLE_S)
-    ):
-        stats = result.boxes[(verb, role)]
-        row = {
-            "verb": verb,
-            "role": role,
-            "covered_tokens": geometry.covered_tokens,
-            "oov_tokens": geometry.oov_tokens,
-            "oov_types": geometry.oov_types,
-        }
-        row.update(stats.as_dict())
-        rows.append(row)
-    return rows
+    return [
+        {"verb": verb, "role": role, **geometry.coverage(), **result.boxes[(verb, role)].as_dict()}
+        for (verb, role), geometry in sorted(result.geometries.items(), key=lambda kv: (kv[0][0], kv[0][1] != ROLE_S))
+    ]
 
 
 def geometry_documents(result: AnalysisResult, *, verbose: bool = False) -> tuple[str, str]:
     """Geometry report as (CSV, JSON); verbose adds per-filler distance tables to the JSON."""
-    rows = geometry_rows(result)
-    csv_text, json_text = emit_tables(rows, GEOMETRY_COLUMNS)
+    csv_text, rows = _table(geometry_rows(result), GEOMETRY_COLUMNS)
     if verbose:
-        enriched = json.loads(json_text)
-        for row in enriched:
-            geometry = result.geometries[(row["verb"], row["role"])]
+        for row in rows:
             row["fillers"] = [
                 {"lemma": lemma, "distance": round(distance, _FLOAT_DECIMALS), "weight": weight}
-                for lemma, distance, weight in geometry.filler_distances
+                for lemma, distance, weight in result.geometries[(row["verb"], row["role"])].filler_distances
             ]
-        json_text = json.dumps(enriched, ensure_ascii=False, indent=2) + "\n"
-    return csv_text, json_text
+    return csv_text, json_text(rows)
 
 
 def analysis_rows(result: AnalysisResult) -> list[dict]:
-    return [
-        {
-            "verb": v.lemma,
-            "gloss": v.gloss,
-            "spontaneity_rank": v.spontaneity_rank,
-            "s_median": v.s_median,
-            "o_median": v.o_median,
-            "centroid_distance": v.centroid_distance,
-            "weighted_overlap": v.weighted_overlap,
-            "reference_rank": v.reference_rank,
-            "distance_rank": v.distance_rank,
-            "overlap_rank": v.overlap_rank,
-        }
-        for v in result.verbs
-    ]
+    return [dict(zip(ANALYSIS_COLUMNS, astuple(verb))) for verb in result.verbs]
 
 
 def _correlation_obj(correlation) -> dict | None:
@@ -390,10 +367,9 @@ def _split_obj(split: tuple[float, float] | None) -> dict | None:
 
 def analysis_documents(result: AnalysisResult) -> tuple[str, str]:
     """Analysis report as (CSV of per-verb rows, JSON with global statistics)."""
-    rows = analysis_rows(result)
-    csv_text, rows_json = emit_tables(rows, ANALYSIS_COLUMNS)
+    csv_text, rows = _table(analysis_rows(result), ANALYSIS_COLUMNS)
     document = {
-        "verbs": json.loads(rows_json),
+        "verbs": rows,
         "excluded": result.excluded,
         "correlations": {
             "distance_vs_reference": _correlation_obj(result.distance_correlation),
@@ -405,7 +381,7 @@ def analysis_documents(result: AnalysisResult) -> tuple[str, str]:
         },
         "notes": result.notes,
     }
-    return csv_text, json.dumps(document, ensure_ascii=False, indent=2) + "\n"
+    return csv_text, json_text(document)
 
 
 def figure_specs(result: AnalysisResult) -> dict[str, PlotSpec]:

@@ -25,6 +25,7 @@ from lexsets.analysis import (
     t_approximation_pvalue,
     weighted_overlap,
 )
+from lexsets.cli import RunConfig, _load_inventory
 from lexsets.corpus import LexicalSet
 from lexsets.errors import EmptySetError, InputError, UndefinedCorrelationError
 from lexsets.geometry import SetGeometry
@@ -404,14 +405,19 @@ def test_default_inventory_is_the_twenty_verb_scale():
 
 
 def test_load_inventory_and_reference(tmp_path):
-    inventory_json = json.dumps(
+    # the route the CLI takes: the inventory and the reference ranking are read from their own files
+    (tmp_path / "inventory.json").write_text(json.dumps(
         [
             {"gloss": "close", "lemma": "chiudere", "spontaneity_rank": 1},
             {"gloss": "open", "lemma": "aprire", "spontaneity_rank": 2},
         ]
-    )
+    ))
     reference_json = json.dumps([{"lemma": "chiudere", "rank": 2}, {"lemma": "aprire", "rank": 1}])
-    inventory = load_inventory(io.StringIO(inventory_json), io.StringIO(reference_json))
+    (tmp_path / "reference.json").write_text(reference_json)
+    config = RunConfig(corpus_paths=["corpus.conllu"], vectors_path="vectors.txt",
+                       inventory_path=str(tmp_path / "inventory.json"), output_prefix="out/run",
+                       reference_ranking_path=str(tmp_path / "reference.json"))
+    inventory = _load_inventory(config)
     assert inventory.reference_ranking == {"chiudere": 2.0, "aprire": 1.0}
     assert load_reference_ranking(io.StringIO(reference_json))["aprire"] == 1.0
     with pytest.raises(InputError):

@@ -122,6 +122,32 @@ def test_rerun_is_byte_identical(workdir):
     assert {name: read_out(workdir, name) for name in OUTPUT_FILES} == first
 
 
+def test_non_ascii_text_is_written_raw_and_verbose_keeps_the_csv(workdir):
+    lemma = "città"
+    for name in ("toy.conllu", "toy_vectors.txt"):
+        path = workdir / name
+        path.write_text(path.read_text(encoding="utf-8").replace("ramo", lemma), encoding="utf-8")
+    # the analysis manifest names no filler, so the vector file is named after the lemma
+    (workdir / "toy_vectors.txt").rename(workdir / f"vettori_{lemma}.txt")
+    set_config_field(workdir, "vectors_path", f"vettori_{lemma}.txt")
+    set_config_field(workdir, "verbose_geometry", True)
+    result = run_cli(workdir, "run", "--config", "toy_config.json")
+    assert result.returncode == 0, result.stderr
+    for name in ("toy_lexsets.json", "toy_geometry.json", "toy_analysis_manifest.json"):
+        assert lemma.encode("utf-8") in read_out(workdir, name), name
+        assert b"\\u" not in read_out(workdir, name), name
+    verbose_rows = json.loads(read_out(workdir, "toy_geometry.json"))
+    assert lemma in {filler["lemma"] for row in verbose_rows for filler in row["fillers"]}
+    verbose_csv = read_out(workdir, "toy_geometry.csv")
+
+    set_config_field(workdir, "verbose_geometry", False)
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 0, result.stderr
+    assert read_out(workdir, "toy_geometry.csv") == verbose_csv
+    plain_rows = json.loads(read_out(workdir, "toy_geometry.json"))
+    assert [{key: value for key, value in row.items() if key != "fillers"} for row in verbose_rows] == plain_rows
+
+
 def test_analyze_with_explicit_database(workdir):
     result = run_cli(workdir, "extract", "--config", "toy_config.json")
     assert result.returncode == 0, result.stderr
@@ -278,6 +304,24 @@ def test_undecodable_vector_file_names_the_file(workdir):
     result = run_cli(workdir, "analyze", "--config", "toy_config.json")
     assert result.returncode == 2
     assert result.stderr.startswith("error: toy_vectors.txt: not valid UTF-8 text (")
+
+
+def test_undecodable_database_names_the_file(workdir):
+    (workdir / "bad.json").write_bytes(b'[{"verb": "rompere", "role": "S", "fillers": [{"lemma": "citt\xe0"')
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json", "--database", "bad.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: bad.json: not valid UTF-8 text (")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_undecodable_inventory_names_the_file(workdir, command):
+    with open(workdir / "toy_inventory.json", "ab") as stream:
+        stream.write(b"\xe0")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy_inventory.json: not valid UTF-8 text (")
+    assert not (workdir / "out").exists()
 
 
 def test_malformed_vector_row_names_file_and_line(workdir):
@@ -444,6 +488,15 @@ def test_string_corpus_paths_exits_one_before_any_work(workdir, command):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["vectors_path", "inventory_path", "output_prefix", "reference_ranking_path"])
+def test_non_string_path_field_exits_one(workdir, name):
+    set_config_field(workdir, name, 5)
+    result = run_cli(workdir, "validate-config", "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert name in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_max_sentence_length_override(workdir):
     result = run_cli(
         workdir, "extract", "--config", "toy_config.json", "--max-sentence-length", "3"
@@ -501,6 +554,10 @@ def test_load_config_defaults(workdir):
         ("corpus_paths", ["toy.conllu", 3]),
         ("rules", {"verb_pos_tags": "VERB"}),
         ("rules", {"subject_relations": ["nsubj", None]}),
+        ("vectors_path", 5),
+        ("inventory_path", ["toy_inventory.json"]),
+        ("output_prefix", None),
+        ("reference_ranking_path", 5),
     ],
 )
 def test_load_config_rejects_mistyped_values(workdir, name, value):

@@ -273,6 +273,17 @@ def test_quantile_monotonic_in_q():
 # --- box_stats ---------------------------------------------------------------
 
 
+def test_box_quartiles_are_weighted_quantiles():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 15))
+        values = rng.choice([0.1, 0.2, 0.5, 0.9, 1.4], size=n).tolist()
+        weights = rng.integers(1, 6, size=n).tolist()
+        stats = weighted_box_stats(values, weights)
+        pairs = list(zip(values, weights))
+        assert (stats.q1, stats.median, stats.q3) == tuple(weighted_quantile(pairs, q) for q in (0.25, 0.5, 0.75))
+
+
 def test_singleton_box():
     stats = weighted_box_stats([0.4], [3.0])
     assert stats.minimum == stats.q1 == stats.median == stats.q3 == stats.maximum == 0.4
