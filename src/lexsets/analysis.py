@@ -12,9 +12,9 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import IO, Hashable, Iterable, Mapping, Sequence
+from typing import IO, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,26 +69,6 @@ class VerbInventory:
 
     def ordered_entries(self) -> list[InventoryEntry]:
         return sorted(self.entries, key=lambda e: e.spontaneity_rank)
-
-    def spontaneity_ranks(self) -> dict[str, int]:
-        return {e.lemma: e.spontaneity_rank for e in self.entries}
-
-    def restricted_to(self, lemmas: Iterable[str]) -> "VerbInventory":
-        """Sub-inventory over the given lemmas, ranks renumbered 1..k in order."""
-        keep = set(lemmas)
-        missing = keep - set(self.lemmas)
-        if missing:
-            raise InputError(f"lemmas not in inventory: {sorted(missing)}")
-        kept = [e for e in self.ordered_entries() if e.lemma in keep]
-        entries = [
-            InventoryEntry(gloss=e.gloss, lemma=e.lemma, spontaneity_rank=i)
-            for i, e in enumerate(kept, start=1)
-        ]
-        reference = None
-        if self.reference_ranking is not None:
-            pairs = [(e.lemma, self.reference_ranking[e.lemma]) for e in kept]
-            reference = rank_values(pairs, "ascending")
-        return VerbInventory(entries=entries, reference_ranking=reference)
 
 
 def load_inventory(stream: IO[str]) -> VerbInventory:
@@ -151,18 +131,12 @@ class CorrelationResult:
     rho: float
     p_value: float
     n: int
-    tie_counts: tuple[int, int]
+    x_ties: int
+    y_ties: int
     method: str  # "t_approximation" | "exact_permutation"
 
     def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "p_value": self.p_value,
-            "n": self.n,
-            "x_ties": self.tie_counts[0],
-            "y_ties": self.tie_counts[1],
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def centroid_distance(s_geom: SetGeometry, o_geom: SetGeometry) -> float:
@@ -289,14 +263,14 @@ def spearman(x: Mapping[Hashable, float], y: Mapping[Hashable, float]) -> Correl
     if not np.any(x_centered) or not np.any(y_centered):
         raise UndefinedCorrelationError("constant ranks have no defined correlation")
     rho = _rho_from_centered(x_centered, y_centered)
-    ties = (_tie_count(x_vals.tolist()), _tie_count(y_vals.tolist()))
     if n <= EXACT_PERMUTATION_MAX_N:
         p = _exact_permutation_pvalue(x_vals, y_vals)
         method = "exact_permutation"
     else:
         p = t_approximation_pvalue(rho, n)
         method = "t_approximation"
-    return CorrelationResult(rho=rho, p_value=p, n=n, tie_counts=ties, method=method)
+    return CorrelationResult(rho=rho, p_value=p, n=n, x_ties=_tie_count(x_vals.tolist()),
+                             y_ties=_tie_count(y_vals.tolist()), method=method)
 
 
 def t_approximation_pvalue(rho: float, n: int) -> float:
@@ -312,25 +286,17 @@ def t_approximation_pvalue(rho: float, n: int) -> float:
     return min(1.0, p)
 
 
-def split_half_median_average(
-    inventory: VerbInventory, medians: Mapping[str, float], role_label: str
-) -> tuple[float, float]:
-    """Mean of per-verb medians over the low and high halves of the scale.
+def split_half_median_average(medians: Sequence[float]) -> tuple[float, float]:
+    """Mean of per-verb medians, given in scale order, over the low and high halves.
 
-    The low half covers spontaneity ranks 1..floor(N/2), the high half
-    the rest.
+    The low half covers the first floor(N/2) values, the high half the
+    rest.
     """
-    ordered = inventory.ordered_entries()
-    values = []
-    for entry in ordered:
-        if entry.lemma not in medians:
-            raise InputError(f"no {role_label} median for inventory verb {entry.lemma!r}")
-        values.append(medians[entry.lemma])
-    half = len(ordered) // 2
-    if half == 0 or half == len(ordered):
+    half = len(medians) // 2
+    if half == 0:
         raise InputError("split-half averages need at least two verbs")
-    low = sum(values[:half]) / half
-    high = sum(values[half:]) / (len(values) - half)
+    low = sum(medians[:half]) / half
+    high = sum(medians[half:]) / (len(medians) - half)
     return low, high
 
 
@@ -436,10 +402,10 @@ def analyze_lexical_sets(
     if not result.verbs:
         return result
 
-    included = inventory.restricted_to(v.lemma for v in result.verbs)
-    reference_ranks = included.reference_ranking
-    if reference_ranks is None:
-        reference_ranks = {lemma: float(rank) for lemma, rank in included.spontaneity_ranks().items()}
+    reference = inventory.reference_ranking
+    reference_ranks = rank_values(
+        [(v.lemma, v.spontaneity_rank if reference is None else reference[v.lemma]) for v in result.verbs]
+    )
     distance_ranks = rank_values([(v.lemma, v.centroid_distance) for v in result.verbs], distance_rank_direction)
     overlap_ranks = rank_values([(v.lemma, v.weighted_overlap) for v in result.verbs], overlap_rank_direction)
     for verb in result.verbs:
@@ -460,10 +426,8 @@ def analyze_lexical_sets(
         result.notes.append("fewer than 3 verbs included; correlations skipped")
 
     if len(result.verbs) >= 2:
-        s_medians = {v.lemma: v.s_median for v in result.verbs}
-        o_medians = {v.lemma: v.o_median for v in result.verbs}
-        result.s_split_half = split_half_median_average(included, s_medians, ROLE_S)
-        result.o_split_half = split_half_median_average(included, o_medians, ROLE_O)
+        result.s_split_half = split_half_median_average([v.s_median for v in result.verbs])
+        result.o_split_half = split_half_median_average([v.o_median for v in result.verbs])
     else:
         result.notes.append("fewer than 2 verbs included; split-half averages skipped")
 

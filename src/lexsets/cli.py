@@ -90,6 +90,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 text ({exc.reason})") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     known = {f.name for f in fields(RunConfig)}
@@ -300,7 +302,9 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     if workers == 1:
         counts, stats, filtered, processed = _merge_shards(shards, map(_extract_shard, *arguments))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+        # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
             counts, stats, filtered, processed = _merge_shards(shards, pool.map(_extract_shard, *arguments))
 
     manifest = {

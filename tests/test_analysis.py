@@ -260,7 +260,7 @@ def test_tie_counts_reported():
     x = ranks_of([1, 1, 2, 3])
     y = ranks_of([4, 4, 4, 9])
     result = spearman(x, y)
-    assert result.tie_counts == (2, 3)
+    assert (result.x_ties, result.y_ties) == (2, 3)
 
 
 def test_rho_matches_stdlib_pearson_on_tied_ranks():
@@ -387,14 +387,6 @@ def test_reference_must_cover_inventory():
         make_inventory(3, reference={"v1": 1, "v2": 2})
 
 
-def test_restriction_renumbers_ranks():
-    inventory = make_inventory(5, reference={f"v{i}": 10 * i for i in range(1, 6)})
-    restricted = inventory.restricted_to(["v2", "v4", "v5"])
-    assert [e.lemma for e in restricted.ordered_entries()] == ["v2", "v4", "v5"]
-    assert [e.spontaneity_rank for e in restricted.ordered_entries()] == [1, 2, 3]
-    assert restricted.reference_ranking == {"v2": 1.0, "v4": 2.0, "v5": 3.0}
-
-
 def test_default_inventory_is_the_twenty_verb_scale():
     inventory = default_inventory()
     assert len(inventory.entries) == 20
@@ -454,32 +446,25 @@ def test_reference_ranking_rejects_a_repeated_lemma():
 
 
 def test_split_half_constant_medians():
-    inventory = make_inventory(4)
-    medians = {f"v{i}": 0.5 for i in range(1, 5)}
-    assert split_half_median_average(inventory, medians, "S") == (0.5, 0.5)
+    assert split_half_median_average([0.5] * 4) == (0.5, 0.5)
 
 
 def test_split_half_hand_computed():
-    inventory = make_inventory(4)
-    medians = {"v1": 0.2, "v2": 0.4, "v3": 0.6, "v4": 0.8}
-    low, high = split_half_median_average(inventory, medians, "S")
+    low, high = split_half_median_average([0.2, 0.4, 0.6, 0.8])
     assert math.isclose(low, 0.3, abs_tol=1e-15)
     assert math.isclose(high, 0.7, abs_tol=1e-15)
 
 
 def test_split_half_odd_inventory():
-    inventory = make_inventory(5)
-    medians = {f"v{i}": float(i) for i in range(1, 6)}
-    low, high = split_half_median_average(inventory, medians, "S")
-    assert low == 1.5  # ranks 1..2
-    assert high == 4.0  # ranks 3..5
+    low, high = split_half_median_average([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert low == 1.5  # values 1..2
+    assert high == 4.0  # values 3..5
 
 
-def test_split_half_missing_verb_named():
-    inventory = make_inventory(4)
-    medians = {"v1": 0.2, "v2": 0.4, "v3": 0.6}
-    with pytest.raises(InputError, match="v4"):
-        split_half_median_average(inventory, medians, "S")
+@pytest.mark.parametrize("medians", [[], [0.5]])
+def test_split_half_needs_two_values(medians):
+    with pytest.raises(InputError, match="at least two verbs"):
+        split_half_median_average(medians)
 
 
 # --- analyze_lexical_sets -----------------------------------------------------------
@@ -518,12 +503,21 @@ def test_analyze_reports_exclusions_and_correlations():
     assert set(result.geometries) == {(v, r) for v in ("v1", "v2", "v3") for r in ("S", "O")}
 
 
+def test_analyze_reranks_the_reference_over_the_included_verbs():
+    # v4 is excluded; its reference value is the smallest, so ranking all four would give v2 and v3 2.5
+    sets, store, _ = small_world()
+    inventory = make_inventory(4, reference={"v1": 30.0, "v2": 10.0, "v3": 10.0, "v4": 5.0})
+    result = analyze_lexical_sets(sets, store, inventory)
+    assert [(v.lemma, v.reference_rank) for v in result.verbs] == [("v1", 3.0), ("v2", 1.5), ("v3", 1.5)]
+
+
 def test_analyze_excludes_oov_only_sets():
     sets, store, inventory = small_world()
     sets[("v2", "O")] = LexicalSet("v2", "O", {"unknown": 3})
     result = analyze_lexical_sets(sets, store, inventory)
     assert {"verb": "v2", "reason": "no covered fillers (O)"} in result.excluded
     assert [v.lemma for v in result.verbs] == ["v1", "v3"]
+    assert [v.reference_rank for v in result.verbs] == [1.0, 2.0]
     assert result.distance_correlation is None
     assert any("fewer than 3" in note for note in result.notes)
 

@@ -269,6 +269,35 @@ def test_spawned_workers_match_goldens(workdir):
         assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
 
 
+def test_worker_pool_is_capped_at_usable_cpus(workdir, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.shards = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, *iterables):
+            arguments = list(zip(*iterables))
+            self.shards = len(arguments)
+            return [function(*args) for args in arguments]
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["extract", "--config", "toy_config.json", "--workers", "8"]) == 0
+    assert [(pool.max_workers, pool.shards > 2) for pool in pools] == [(2, True)]
+    for name in EXTRACT_FILES:
+        assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
 def test_failed_write_leaves_no_database(workdir, monkeypatch, capsys):
     def write_half(sets, stream):
         stream.write("[\n  {")
@@ -495,6 +524,17 @@ def test_non_string_path_field_exits_one(workdir, name):
     assert result.returncode == 1
     assert name in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_non_utf8_config_exits_one_with_its_path(workdir, command):
+    with open(workdir / "toy_config.json", "ab") as stream:
+        stream.write(b"\xe0")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert "config file toy_config.json is not valid UTF-8 text (unexpected end of data)" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (workdir / "out").exists()
 
 
 def test_max_sentence_length_override(workdir):
