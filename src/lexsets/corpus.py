@@ -83,8 +83,14 @@ class ExtractionRules:
     verb_pos_tags: frozenset[str] = frozenset({"VERB"})
 
     def __post_init__(self):
+        # bool is an int subclass, and JSON true would pass as 1
+        if not isinstance(self.max_sentence_length, int) or isinstance(self.max_sentence_length, bool):
+            raise ValueError(f"max_sentence_length must be an integer, got {self.max_sentence_length!r}")
         if self.max_sentence_length < 1:
             raise ValueError("max_sentence_length must be >= 1")
+        # fillers' lemmas are lower-cased before they are compared with the clitic
+        if not isinstance(self.clitic_lemma, str) or self.clitic_lemma != self.clitic_lemma.lower():
+            raise ValueError(f"clitic_lemma must be a lower-case string, got {self.clitic_lemma!r}")
         groups = [self.object_relations, self.passive_subject_relations, self.subject_relations]
         for i, a in enumerate(groups):
             for b in groups[i + 1:]:
@@ -99,6 +105,8 @@ class ExtractionRules:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExtractionRules":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"rules must be a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -19,8 +19,6 @@ from .corpus import ROLE_O, ROLE_S
 from .errors import PlotSpecError
 from .geometry import COVERAGE_FIELDS, BoxStats
 
-KINDS = ("box_whisker_panel", "median_by_rank", "ranking_comparison")
-
 _MARKER_COLORS = ("#2ca02c", "#1f77b4", "#d62728", "#9467bd")
 _FLOAT_DECIMALS = 6
 
@@ -40,31 +38,6 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _validate(spec: PlotSpec) -> None:
-    if spec.kind not in KINDS:
-        raise PlotSpecError(f"unknown plot kind {spec.kind!r}")
-    if spec.width < 1 or spec.height < 1:
-        raise PlotSpecError("plot dimensions must be positive")
-    if not spec.series:
-        raise PlotSpecError("plot series must be non-empty")
-    if spec.kind == "box_whisker_panel":
-        for item in spec.series:
-            if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], BoxStats)):
-                raise PlotSpecError("box_whisker_panel series items must be (label, BoxStats)")
-    elif spec.kind == "median_by_rank":
-        for item in spec.series:
-            if not (isinstance(item, tuple) and len(item) == 3):
-                raise PlotSpecError("median_by_rank series items must be (label, rank, median)")
-    elif spec.kind == "ranking_comparison":
-        label_sets = []
-        for item in spec.series:
-            if not (isinstance(item, tuple) and len(item) == 2 and item[1]):
-                raise PlotSpecError("ranking_comparison series items must be (name, [(label, rank), ...])")
-            label_sets.append({label for label, _ in item[1]})
-        if any(labels != label_sets[0] for labels in label_sets[1:]):
-            raise PlotSpecError("ranking_comparison series must cover the same labels")
-
-
 def _ticks(low: float, high: float, count: int = 5) -> list[float]:
     if high <= low:
         high = low + 1.0
@@ -81,9 +54,14 @@ def _ticks(low: float, high: float, count: int = 5) -> list[float]:
 
 
 class _Canvas:
-    """Accumulates SVG elements inside a margin-framed plot area."""
+    """An SVG document with its header, y axis, frame and category labels drawn.
 
-    def __init__(self, spec: PlotSpec):
+    The y axis runs from ``min(0, low)`` to 5% of that range past ``high``;
+    ``centers`` holds the x of each category label and ``y_of`` maps a value
+    to its y.
+    """
+
+    def __init__(self, spec: PlotSpec, labels: Sequence[str], low: float, high: float):
         self.width = spec.width
         self.height = spec.height
         self.margin_left = 60
@@ -103,38 +81,11 @@ class _Canvas:
             f'font-family="sans-serif">{_escape(spec.title)}</text>'
         )
 
-    def x_pos(self, fraction: float) -> float:
-        return self.margin_left + fraction * self.plot_w
-
-    def y_pos(self, fraction: float) -> float:
-        return self.margin_top + (1.0 - fraction) * self.plot_h
-
-    def draw_frame(self, x_label: str, y_label: str) -> None:
-        x0, y0 = self.margin_left, self.margin_top
-        x1, y1 = self.margin_left + self.plot_w, self.margin_top + self.plot_h
-        self.parts.append(
-            f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="#333333" stroke-width="1"/>'
-        )
-        self.parts.append(
-            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333" stroke-width="1"/>'
-        )
-        if x_label:
-            self.parts.append(
-                f'<text x="{_fmt((x0 + x1) / 2)}" y="{self.height - 8}" font-size="12" '
-                f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)}</text>'
-            )
-        if y_label:
-            cy = (y0 + y1) / 2
-            self.parts.append(
-                f'<text transform="translate(14,{_fmt(cy)}) rotate(-90)" font-size="12" '
-                f'text-anchor="middle" font-family="sans-serif">{_escape(y_label)}</text>'
-            )
-
-    def y_axis(self, low: float, high: float) -> float:
-        """Draw tick marks and labels; returns the axis span."""
-        span = high - low if high > low else 1.0
-        for tick in _ticks(low, low + span):
-            y = self.y_pos((tick - low) / span)
+        self.low = min(0.0, low)
+        top = self.low + (high - self.low) * 1.05
+        self.span = top - self.low if top > self.low else 1.0
+        for tick in _ticks(self.low, self.low + self.span):
+            y = self.y_of(tick)
             self.parts.append(
                 f'<line x1="{self.margin_left - 4}" y1="{_fmt(y)}" x2="{self.margin_left}" '
                 f'y2="{_fmt(y)}" stroke="#333333" stroke-width="1"/>'
@@ -143,19 +94,35 @@ class _Canvas:
                 f'<text x="{self.margin_left - 8}" y="{_fmt(y + 4)}" font-size="10" '
                 f'text-anchor="end" font-family="sans-serif">{tick:g}</text>'
             )
-        return span
 
-    def x_category_centers(self, labels: Sequence[str]) -> list[float]:
-        n = len(labels)
-        centers = []
-        for i, label in enumerate(labels):
-            cx = self.x_pos((i + 0.5) / n)
-            centers.append(cx)
+        x0, y0 = self.margin_left, self.margin_top
+        x1, y1 = self.margin_left + self.plot_w, self.margin_top + self.plot_h
+        self.parts.append(
+            f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="#333333" stroke-width="1"/>'
+        )
+        self.parts.append(
+            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333" stroke-width="1"/>'
+        )
+        if spec.x_label:
             self.parts.append(
-                f'<text x="{_fmt(cx)}" y="{self.margin_top + self.plot_h + 16}" font-size="10" '
+                f'<text x="{_fmt((x0 + x1) / 2)}" y="{self.height - 8}" font-size="12" '
+                f'text-anchor="middle" font-family="sans-serif">{_escape(spec.x_label)}</text>'
+            )
+        if spec.y_label:
+            self.parts.append(
+                f'<text transform="translate(14,{_fmt((y0 + y1) / 2)}) rotate(-90)" font-size="12" '
+                f'text-anchor="middle" font-family="sans-serif">{_escape(spec.y_label)}</text>'
+            )
+
+        self.centers = [self.margin_left + (i + 0.5) / len(labels) * self.plot_w for i in range(len(labels))]
+        for cx, label in zip(self.centers, labels):
+            self.parts.append(
+                f'<text x="{_fmt(cx)}" y="{y1 + 16}" font-size="10" '
                 f'text-anchor="middle" font-family="sans-serif">{_escape(label)}</text>'
             )
-        return centers
+
+    def y_of(self, value: float) -> float:
+        return self.margin_top + (1.0 - (value - self.low) / self.span) * self.plot_h
 
     def finish(self) -> str:
         self.parts.append("</svg>")
@@ -167,19 +134,19 @@ def _escape(text: str) -> str:
 
 
 def _render_box_panel(spec: PlotSpec) -> str:
-    canvas = _Canvas(spec)
+    for item in spec.series:
+        if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], BoxStats)):
+            raise PlotSpecError("box_whisker_panel series items must be (label, BoxStats)")
     boxes: list[tuple[str, BoxStats]] = spec.series
-    high = max(b.maximum for _, b in boxes)
-    low = min(0.0, min(b.minimum for _, b in boxes))
-    span = canvas.y_axis(low, low + (high - low) * 1.05)
-    canvas.draw_frame(spec.x_label, spec.y_label)
-    centers = canvas.x_category_centers([label for label, _ in boxes])
+    canvas = _Canvas(
+        spec,
+        [label for label, _ in boxes],
+        min(b.minimum for _, b in boxes),
+        max(b.maximum for _, b in boxes),
+    )
+    y_of = canvas.y_of
     half_width = min(30.0, canvas.plot_w / (len(boxes) * 4))
-
-    def y_of(value: float) -> float:
-        return canvas.y_pos((value - low) / span)
-
-    for (label, stats), cx in zip(boxes, centers):
+    for (label, stats), cx in zip(boxes, canvas.centers):
         top, bottom = y_of(stats.q3), y_of(stats.q1)
         group = [f'<g class="box" data-label="{_escape(label)}">']
         group.append(
@@ -216,16 +183,13 @@ def _render_box_panel(spec: PlotSpec) -> str:
 
 
 def _render_median_by_rank(spec: PlotSpec) -> str:
-    canvas = _Canvas(spec)
+    for item in spec.series:
+        if not (isinstance(item, tuple) and len(item) == 3):
+            raise PlotSpecError("median_by_rank series items must be (label, rank, median)")
     points = sorted(spec.series, key=lambda item: item[1])
     values = [v for _, _, v in points]
-    low = min(0.0, min(values))
-    span = canvas.y_axis(low, low + (max(values) - low) * 1.05)
-    canvas.draw_frame(spec.x_label, spec.y_label)
-    centers = canvas.x_category_centers([label for label, _, _ in points])
-    coords = [
-        (cx, canvas.y_pos((value - low) / span)) for cx, (_, _, value) in zip(centers, points)
-    ]
+    canvas = _Canvas(spec, [label for label, _, _ in points], min(values), max(values))
+    coords = [(cx, canvas.y_of(value)) for cx, value in zip(canvas.centers, values)]
     path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
     canvas.parts.append(f'<polyline points="{path}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
     for x, y in coords:
@@ -249,19 +213,22 @@ def _marker_element(shape_index: int, x: float, y: float, color: str) -> str:
 
 
 def _render_ranking_comparison(spec: PlotSpec) -> str:
-    canvas = _Canvas(spec)
-    first_name, first_points = spec.series[0]
-    order = [label for label, _ in sorted(first_points, key=lambda item: item[1])]
+    label_sets = []
+    for item in spec.series:
+        if not (isinstance(item, tuple) and len(item) == 2 and item[1]):
+            raise PlotSpecError("ranking_comparison series items must be (name, [(label, rank), ...])")
+        label_sets.append({label for label, _ in item[1]})
+    if any(labels != label_sets[0] for labels in label_sets[1:]):
+        raise PlotSpecError("ranking_comparison series must cover the same labels")
+    order = [label for label, _ in sorted(spec.series[0][1], key=lambda item: item[1])]
     all_ranks = [rank for _, points in spec.series for _, rank in points]
-    low = 0.0
-    span = canvas.y_axis(low, max(all_ranks) * 1.05)
-    canvas.draw_frame(spec.x_label, spec.y_label)
-    centers = dict(zip(order, canvas.x_category_centers(order)))
+    canvas = _Canvas(spec, order, 0.0, max(all_ranks))
+    centers = dict(zip(order, canvas.centers))
     for index, (name, points) in enumerate(spec.series):
         color = _MARKER_COLORS[index % len(_MARKER_COLORS)]
         for label, rank in sorted(points, key=lambda item: order.index(item[0])):
             canvas.parts.append(
-                _marker_element(index, centers[label], canvas.y_pos((rank - low) / span), color)
+                _marker_element(index, centers[label], canvas.y_of(rank), color)
             )
         legend_y = canvas.margin_top + 14 * index
         canvas.parts.append(
@@ -274,14 +241,23 @@ def _render_ranking_comparison(spec: PlotSpec) -> str:
     return canvas.finish()
 
 
+_RENDERERS = {
+    "box_whisker_panel": _render_box_panel,
+    "median_by_rank": _render_median_by_rank,
+    "ranking_comparison": _render_ranking_comparison,
+}
+
+
 def render_svg(spec: PlotSpec) -> str:
     """Render a plot spec to a standalone SVG document string."""
-    _validate(spec)
-    if spec.kind == "box_whisker_panel":
-        return _render_box_panel(spec)
-    if spec.kind == "median_by_rank":
-        return _render_median_by_rank(spec)
-    return _render_ranking_comparison(spec)
+    renderer = _RENDERERS.get(spec.kind)
+    if renderer is None:
+        raise PlotSpecError(f"unknown plot kind {spec.kind!r}")
+    if spec.width < 1 or spec.height < 1:
+        raise PlotSpecError("plot dimensions must be positive")
+    if not spec.series:
+        raise PlotSpecError("plot series must be non-empty")
+    return renderer(spec)
 
 
 def _round_cell(value):
@@ -350,10 +326,7 @@ def analysis_rows(result: AnalysisResult) -> list[dict]:
 def _correlation_obj(correlation) -> dict | None:
     if correlation is None:
         return None
-    obj = correlation.as_dict()
-    obj["rho"] = round(obj["rho"], _FLOAT_DECIMALS)
-    obj["p_value"] = round(obj["p_value"], _FLOAT_DECIMALS)
-    return obj
+    return {name: _round_cell(value) for name, value in correlation.as_dict().items()}
 
 
 def _split_obj(split: tuple[float, float] | None) -> dict | None:

@@ -429,6 +429,23 @@ def test_malformed_reference_ranking_names_its_file(workdir):
     assert not (workdir / "out").exists()
 
 
+def test_run_with_a_reference_ranking_reranks_it_over_the_included_verbs(workdir):
+    # against the spontaneity order: affondare (excluded, no S fillers) first, chiudere and aprire tied
+    ranking = {"affondare": 1, "fermare": 2, "rompere": 3, "chiudere": 4, "aprire": 4}
+    (workdir / "reference.json").write_text(json.dumps([{"lemma": k, "rank": v} for k, v in ranking.items()]))
+    set_config_field(workdir, "reference_ranking_path", "reference.json")
+    result = run_cli(workdir, "run", "--config", "toy_config.json")
+    assert result.returncode == 0, result.stderr
+    document = json.loads(read_out(workdir, "toy_analysis.json"))
+    assert [v["verb"] for v in document["excluded"]] == ["affondare"]
+    reference_ranks = {v["verb"]: v["reference_rank"] for v in document["verbs"]}
+    assert reference_ranks == {"fermare": 1.0, "rompere": 2.0, "chiudere": 3.5, "aprire": 3.5}
+    correlation = document["correlations"]["distance_vs_reference"]
+    assert correlation["n"] == 4
+    assert correlation["x_ties"] == 0 and correlation["y_ties"] == 2
+    assert correlation["method"] == "exact_permutation"
+
+
 def test_usage_error_exits_one(workdir):
     result = run_cli(workdir, "frobnicate")
     assert result.returncode == 1
@@ -594,6 +611,14 @@ def test_load_config_defaults(workdir):
         ("corpus_paths", ["toy.conllu", 3]),
         ("rules", {"verb_pos_tags": "VERB"}),
         ("rules", {"subject_relations": ["nsubj", None]}),
+        ("rules", {"max_sentence_length": True}),
+        ("rules", {"max_sentence_length": 2.5}),
+        ("rules", {"max_sentence_length": "9"}),
+        ("rules", {"clitic_lemma": 5}),
+        ("rules", {"clitic_lemma": "SI"}),
+        ("rules", []),
+        ("rules", "abc"),
+        ("rules", None),
         ("vectors_path", 5),
         ("inventory_path", ["toy_inventory.json"]),
         ("output_prefix", None),
@@ -604,6 +629,29 @@ def test_load_config_rejects_mistyped_values(workdir, name, value):
     set_config_field(workdir, name, value)
     with pytest.raises(ConfigError, match=name):
         load_config(workdir / "toy_config.json")
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "rules,named",
+    [
+        ({"max_sentence_length": True}, "max_sentence_length must be an integer, got True"),
+        ({"max_sentence_length": 2.5}, "max_sentence_length must be an integer, got 2.5"),
+        ({"max_sentence_length": "9"}, "max_sentence_length must be an integer, got '9'"),
+        ({"clitic_lemma": 5}, "clitic_lemma must be a lower-case string, got 5"),
+        ({"clitic_lemma": "SI"}, "clitic_lemma must be a lower-case string, got 'SI'"),
+        ([], "rules must be a JSON object, got []"),
+        ("abc", "rules must be a JSON object, got 'abc'"),
+        (None, "rules must be a JSON object, got None"),
+    ],
+    ids=["bool-length", "float-length", "string-length", "int-clitic", "upper-clitic", "list", "string", "null"],
+)
+def test_mistyped_rules_exit_one_naming_the_field(workdir, command, rules, named):
+    set_config_field(workdir, "rules", rules)
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert f"error: bad extraction rules: {named}" in result.stderr
+    assert not (workdir / "out").exists()
 
 
 def test_load_config_requires_fields(tmp_path):

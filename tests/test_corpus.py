@@ -551,6 +551,26 @@ def test_rules_require_a_list_of_labels(name, value):
         ExtractionRules.from_dict({name: value})
 
 
+@pytest.mark.parametrize("value", [True, False, 2.5, "9", None])
+def test_rules_require_an_integer_max_sentence_length(value):
+    with pytest.raises(ValueError, match="max_sentence_length must be an integer"):
+        ExtractionRules.from_dict({"max_sentence_length": value})
+    with pytest.raises(ValueError, match="max_sentence_length must be an integer"):
+        ExtractionRules(max_sentence_length=value)
+
+
+@pytest.mark.parametrize("value", [5, "SI", "Si", None, ["si"]])
+def test_rules_require_a_lower_case_clitic_lemma(value):
+    with pytest.raises(ValueError, match="clitic_lemma must be a lower-case string"):
+        ExtractionRules.from_dict({"clitic_lemma": value})
+
+
+@pytest.mark.parametrize("value", [[], "abc", None, 5, [["max_sentence_length", 5]]])
+def test_rules_must_be_a_mapping(value):
+    with pytest.raises(ValueError, match="rules must be a JSON object"):
+        ExtractionRules.from_dict(value)
+
+
 def test_rules_reject_unknown_fields():
     with pytest.raises(ValueError):
         ExtractionRules.from_dict({"max_length": 5})

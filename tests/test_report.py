@@ -95,22 +95,41 @@ def test_axis_labels_present():
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec,message",
     [
-        PlotSpec(kind="unknown_kind", title="t", series=[("a", 1)]),
-        PlotSpec(kind="box_whisker_panel", title="t", series=[]),
-        PlotSpec(kind="box_whisker_panel", title="t", series=[("a", 0.4)]),
-        PlotSpec(kind="median_by_rank", title="t", series=[("a", 1)]),
-        PlotSpec(
-            kind="ranking_comparison",
-            title="t",
-            series=[("r", [("a", 1)]), ("s", [("b", 1)])],
+        (PlotSpec(kind="unknown_kind", title="t", series=[("a", 1)]), "unknown plot kind 'unknown_kind'"),
+        (PlotSpec(kind="unknown_kind", title="t", series=[], width=0), "unknown plot kind 'unknown_kind'"),
+        (PlotSpec(kind="box_whisker_panel", title="t", series=[]), "plot series must be non-empty"),
+        (
+            PlotSpec(kind="box_whisker_panel", title="t", series=[("a", 0.4)]),
+            r"box_whisker_panel series items must be \(label, BoxStats\)",
         ),
-        PlotSpec(kind="box_whisker_panel", title="t", series=[("a", None)], width=0),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1)]),
+            r"median_by_rank series items must be \(label, rank, median\)",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("r", [("a", 1)]), ("s", [])]),
+            r"ranking_comparison series items must be \(name, \[\(label, rank\), \.\.\.\]\)",
+        ),
+        (
+            PlotSpec(
+                kind="ranking_comparison",
+                title="t",
+                series=[("r", [("a", 1)]), ("s", [("b", 1)])],
+            ),
+            "ranking_comparison series must cover the same labels",
+        ),
+        (
+            PlotSpec(kind="box_whisker_panel", title="t", series=[("a", None)], width=0),
+            "plot dimensions must be positive",
+        ),
     ],
+    ids=["unknown-kind", "unknown-kind-zero-width", "empty-series", "box-item", "median-item",
+         "ranking-item", "ranking-labels", "zero-width"],
 )
-def test_invalid_specs_rejected(spec):
-    with pytest.raises(PlotSpecError):
+def test_invalid_specs_rejected(spec, message):
+    with pytest.raises(PlotSpecError, match=message):
         render_svg(spec)
 
 
