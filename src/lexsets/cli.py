@@ -58,7 +58,7 @@ class RunConfig:
     verbose_geometry: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.corpus_paths, list) or not all(isinstance(p, str) for p in self.corpus_paths):
+        if not isinstance(self.corpus_paths, list) or not all(isinstance(p, str) and p for p in self.corpus_paths):
             raise ConfigError(f"corpus_paths must be a list of file paths, got {self.corpus_paths!r}")
         if not self.corpus_paths:
             raise ConfigError("corpus_paths must list at least one file")
@@ -125,12 +125,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _check_readable(paths: list[str]) -> None:
-    for path in paths:
-        if path and not Path(path).is_file():
-            raise FileNotFoundError(path)
-
-
 def _read_input(path: str, read):
     """``read`` applied to the text of ``path``; malformed content raises an error naming the path."""
     try:
@@ -144,7 +138,15 @@ def _read_input(path: str, read):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_inventory(config: RunConfig) -> VerbInventory:
+def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
+    """Check that a command's input files exist, then read the inventory and any reference ranking.
+
+    ``paths`` are the command's own inputs. One error names every missing file, a line each, before any is opened.
+    """
+    inputs = [*paths, config.inventory_path, config.reference_ranking_path]
+    missing = [path for path in inputs if path and not Path(path).is_file()]
+    if missing:  # main prints "error: " before the first line
+        raise InputError("\nerror: ".join(f"missing input file: {path}" for path in missing))
     inventory = _read_input(config.inventory_path, load_inventory)
     if not config.reference_ranking_path:
         return inventory
@@ -243,11 +245,12 @@ def _lines_before(path: str, offset: int) -> int:
 
 
 def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rules: ExtractionRules,
-                   strict: bool) -> tuple[Counter, ParseStats, int, int]:
+                   strict: bool) -> tuple[Counter, ParseStats, int]:
     """Parse bytes ``[start, end)`` of one corpus file and count the fillers of its sentences.
 
-    Returns the filler counts, the parse statistics, the number of
-    sentences dropped by the length filter and the number processed.
+    Returns the filler counts, the parse statistics and the number of
+    sentences dropped by the length filter; every other parsed sentence
+    is processed.
     The range must start and end at cuts made by :func:`_cut_ranges`,
     so summing the results of a file's ranges equals one serial pass.
     A parse error names the file and its line in the whole file.
@@ -255,39 +258,35 @@ def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rul
     stats = ParseStats()
     counts: Counter = Counter()
     filtered = 0
-    processed = 0
     try:
         with _open_range(path, start, end) as stream:
             for sentence in parse_conll(stream, strict=strict, stats=stats):
                 if not passes_length_filter(sentence, rules):
                     filtered += 1
                     continue
-                processed += 1
                 counts.update(count_fillers([sentence], targets, rules))
     except ConllParseError as exc:
         raise ConllParseError(exc.reason, exc.line_number + _lines_before(path, start), path) from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
-    return counts, stats, filtered, processed
+    return counts, stats, filtered
 
 
-def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats, int, int]:
+def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats, int]:
     """Sum the shard results in shard order, naming the corpus file of a shard whose worker died."""
     counts: Counter = Counter()
     stats = ParseStats()
     filtered = 0
-    processed = 0
     results = iter(results)
     for path, _, _ in shards:
         try:
-            shard_counts, shard_stats, shard_filtered, shard_processed = next(results)
+            shard_counts, shard_stats, shard_filtered = next(results)
         except BrokenProcessPool as exc:
             raise InputError(f"{path}: a worker process stopped before its shard was done ({exc})") from None
         counts.update(shard_counts)
         stats.update(shard_stats)
         filtered += shard_filtered
-        processed += shard_processed
-    return counts, stats, filtered, processed
+    return counts, stats, filtered
 
 
 def _run_extraction(config: RunConfig, targets: frozenset[str]):
@@ -300,18 +299,18 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     ]
     arguments = (*zip(*shards), repeat(targets), repeat(config.rules), repeat(config.strict_parsing))
     if workers == 1:
-        counts, stats, filtered, processed = _merge_shards(shards, map(_extract_shard, *arguments))
+        counts, stats, filtered = _merge_shards(shards, map(_extract_shard, *arguments))
     else:
         # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         with ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
-            counts, stats, filtered, processed = _merge_shards(shards, pool.map(_extract_shard, *arguments))
+            counts, stats, filtered = _merge_shards(shards, pool.map(_extract_shard, *arguments))
 
     manifest = {
         "corpus_files": list(config.corpus_paths),
         **stats.as_dict(),
         "sentences_filtered_by_length": filtered,
-        "sentences_processed": processed,
+        "sentences_processed": stats.sentences_parsed - filtered,
         "filler_records": int(sum(counts.values())),
         "target_verbs": sorted(targets),
         "rules": config.rules.to_dict(),
@@ -320,9 +319,7 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
 
 
 def cmd_extract(config: RunConfig) -> int:
-    _check_readable(config.corpus_paths)
-    _check_readable([config.inventory_path])
-    inventory = _load_inventory(config)
+    inventory = _prepare(config, config.corpus_paths)
     targets = frozenset(lemma.lower() for lemma in inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
     with _atomic_output(_prefix_path(config, "lexsets.json")) as stream:
@@ -337,15 +334,12 @@ def cmd_extract(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
     database_path = database_path or f"{config.output_prefix}_lexsets.json"
-    _check_readable([database_path, config.vectors_path, config.inventory_path])
-    if config.reference_ranking_path:
-        _check_readable([config.reference_ranking_path])
+    inventory = _prepare(config, [database_path, config.vectors_path])
     sets = _read_input(database_path, read_database)
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     # a lambda looks up load_text_vectors when it runs, so a wrapper set on this module sees the call
     store = _read_input(config.vectors_path,
                         lambda stream: load_text_vectors(stream, metadata=config.vectors_path, vocabulary=fillers))
-    inventory = _load_inventory(config)
 
     result = analyze_lexical_sets(
         sets,
@@ -386,21 +380,14 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
-    status = cmd_extract(config)
-    if status != EXIT_OK:
-        return status
+    _prepare(config, [*config.corpus_paths, config.vectors_path])
+    cmd_extract(config)
     return cmd_analyze(config)
 
 
 def cmd_validate_config(path: str) -> int:
     config = load_config(path)
-    missing = [p for p in [*config.corpus_paths, config.vectors_path, config.inventory_path,
-                           config.reference_ranking_path] if p and not Path(p).is_file()]
-    if missing:
-        for item in missing:
-            print(f"error: missing input file: {item}", file=sys.stderr)
-        return EXIT_INPUT
-    _load_inventory(config)
+    _prepare(config, [*config.corpus_paths, config.vectors_path])
     print(f"config {path} is valid")
     return EXIT_OK
 
@@ -450,9 +437,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INPUT
     except (LexsetsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -25,7 +25,7 @@ from lexsets.analysis import (
     t_approximation_pvalue,
     weighted_overlap,
 )
-from lexsets.cli import RunConfig, _load_inventory
+from lexsets.cli import RunConfig, _prepare
 from lexsets.corpus import LexicalSet
 from lexsets.errors import EmptySetError, InputError, UndefinedCorrelationError
 from lexsets.geometry import SetGeometry
@@ -409,7 +409,7 @@ def test_load_inventory_and_reference(tmp_path):
     config = RunConfig(corpus_paths=["corpus.conllu"], vectors_path="vectors.txt",
                        inventory_path=str(tmp_path / "inventory.json"), output_prefix="out/run",
                        reference_ranking_path=str(tmp_path / "reference.json"))
-    inventory = _load_inventory(config)
+    inventory = _prepare(config, [])
     assert inventory.reference_ranking == {"chiudere": 2.0, "aprire": 1.0}
     assert load_reference_ranking(io.StringIO(reference_json))["aprire"] == 1.0
     with pytest.raises(InputError):

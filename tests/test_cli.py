@@ -483,17 +483,70 @@ def test_validate_config_ok(workdir):
 
 def test_validate_config_missing_file(workdir):
     config = json.loads((workdir / "toy_config.json").read_text())
+    config["corpus_paths"] = ["gone.conllu"]
     config["vectors_path"] = "gone.txt"
     (workdir / "toy_config.json").write_text(json.dumps(config))
     result = run_cli(workdir, "validate-config", "--config", "toy_config.json")
     assert result.returncode == 2
-    assert "gone.txt" in result.stderr
+    # every missing file, one line each, in the order the config lists them
+    assert result.stderr == "error: missing input file: gone.conllu\nerror: missing input file: gone.txt\n"
 
 
 def set_config_field(workdir, name, value):
     config = json.loads((workdir / "toy_config.json").read_text())
     config[name] = value
     (workdir / "toy_config.json").write_text(json.dumps(config))
+
+
+@pytest.mark.parametrize("command", ["extract", "run"])
+def test_missing_reference_ranking_names_its_file(workdir, command):
+    set_config_field(workdir, "reference_ranking_path", "gone_reference.json")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: missing input file: gone_reference.json\n"
+    assert not (workdir / "out").exists()
+
+
+def test_run_with_a_missing_vector_file_extracts_nothing(workdir):
+    set_config_field(workdir, "vectors_path", "gone.txt")
+    result = run_cli(workdir, "run", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: missing input file: gone.txt\n"
+    assert not (workdir / "out").exists()
+
+
+def test_analyze_reports_a_malformed_inventory_before_reading_the_vectors(workdir):
+    assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
+    with open(workdir / "toy_vectors.txt", "a", encoding="utf-8") as stream:
+        stream.write("citta 0.1 zero\n")
+    (workdir / "toy_inventory.json").write_text('{"not": "a list"}')
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: toy_inventory.json: ")
+    assert "toy_vectors.txt" not in result.stderr
+
+
+def test_input_removed_after_the_check_exits_two_with_its_path(workdir, monkeypatch, capsys):
+    prepare = cli._prepare
+
+    def prepare_then_remove_corpus(config, paths):
+        inventory = prepare(config, paths)
+        (workdir / "toy.conllu").unlink()
+        return inventory
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "_prepare", prepare_then_remove_corpus)
+    assert main(["extract", "--config", "toy_config.json"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'toy.conllu'\n"
+
+
+@pytest.mark.parametrize("command", ["validate-config", "extract"])
+def test_empty_corpus_path_exits_one(workdir, command):
+    set_config_field(workdir, "corpus_paths", [""])
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert result.stderr == "error: corpus_paths must be a list of file paths, got ['']\n"
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["validate-config", "run"])

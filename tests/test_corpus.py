@@ -480,15 +480,14 @@ def corpus_bytes(draw):
 def _serial_pass(path, strict):
     stats = ParseStats()
     counts = Counter()
-    filtered = processed = 0
+    filtered = 0
     with open(path, encoding="utf-8") as stream:
         for sentence in parse_conll(stream, strict=strict, stats=stats):
             if not passes_length_filter(sentence, SHARD_RULES):
                 filtered += 1
                 continue
-            processed += 1
             counts.update(count_fillers([sentence], SHARD_TARGETS, SHARD_RULES))
-    return counts, stats, filtered, processed
+    return counts, stats, filtered
 
 
 def _outcome(run):
