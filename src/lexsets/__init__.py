@@ -25,7 +25,6 @@ from .analysis import (
     weighted_overlap,
 )
 from .corpus import (
-    ColumnMap,
     ExtractionRules,
     LexicalSet,
     ParseStats,

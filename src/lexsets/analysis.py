@@ -54,6 +54,10 @@ class VerbInventory:
         if not self.entries:
             raise InputError("inventory has no entries")
         lemmas = [e.lemma for e in self.entries]
+        # the extractor lower-cases corpus lemmas, so a capital would never match its sets
+        for lemma in lemmas:
+            if lemma != lemma.lower():
+                raise InputError(f"inventory lemmas must be lower-case, got {lemma!r}")
         if len(set(lemmas)) != len(lemmas):
             raise InputError("inventory lemmas must be unique")
         ranks = sorted(e.spontaneity_rank for e in self.entries)
@@ -340,16 +344,14 @@ def analyze_lexical_sets(
     sets: Mapping[tuple[str, str], LexicalSet],
     store: EmbeddingStore,
     inventory: VerbInventory,
-    *,
-    distance_rank_direction: str = "ascending",
-    overlap_rank_direction: str = "descending",
 ) -> AnalysisResult:
     """Run the full verb-level analysis over an extracted database.
 
     Verbs missing an S or O set, or whose fillers are entirely
     out-of-vocabulary, are excluded from rankings and correlations and
-    reported with a reason. Rank directions default to aligning small
-    S-O separation (and high overlap) with the low end of the scale.
+    reported with a reason. Distances rank ascending and overlaps
+    descending, aligning small S-O separation (and high overlap) with the
+    low end of the scale.
     """
     result = AnalysisResult()
 
@@ -406,8 +408,8 @@ def analyze_lexical_sets(
     reference_ranks = rank_values(
         [(v.lemma, v.spontaneity_rank if reference is None else reference[v.lemma]) for v in result.verbs]
     )
-    distance_ranks = rank_values([(v.lemma, v.centroid_distance) for v in result.verbs], distance_rank_direction)
-    overlap_ranks = rank_values([(v.lemma, v.weighted_overlap) for v in result.verbs], overlap_rank_direction)
+    distance_ranks = rank_values([(v.lemma, v.centroid_distance) for v in result.verbs], "ascending")
+    overlap_ranks = rank_values([(v.lemma, v.weighted_overlap) for v in result.verbs], "descending")
     for verb in result.verbs:
         verb.reference_rank = reference_ranks[verb.lemma]
         verb.distance_rank = distance_ranks[verb.lemma]

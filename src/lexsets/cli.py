@@ -22,7 +22,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import report
-from .analysis import RANK_DIRECTIONS, VerbInventory, analyze_lexical_sets, load_inventory, load_reference_ranking
+from .analysis import VerbInventory, analyze_lexical_sets, load_inventory, load_reference_ranking
 from .corpus import (
     ExtractionRules,
     ParseStats,
@@ -53,8 +53,6 @@ class RunConfig:
     rules: ExtractionRules = field(default_factory=ExtractionRules)
     strict_parsing: bool = False
     worker_count: int = 1
-    distance_rank_direction: str = "ascending"
-    overlap_rank_direction: str = "descending"
     verbose_geometry: bool = False
 
     def __post_init__(self):
@@ -77,9 +75,6 @@ class RunConfig:
             raise ConfigError(f"worker_count must be an integer, got {self.worker_count!r}")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
-        for name in ("distance_rank_direction", "overlap_rank_direction"):
-            if getattr(self, name) not in RANK_DIRECTIONS:
-                raise ConfigError(f"{name} must be 'ascending' or 'descending', got {getattr(self, name)!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -109,20 +104,14 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.output_prefix:
-        config.output_prefix = args.output_prefix
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        config.worker_count = args.workers
-    if args.strict:
-        config.strict_parsing = True
+    """``config`` with the flags that were given; the new config passes the same checks as a config file."""
+    overrides = {"output_prefix": args.output_prefix, "worker_count": args.workers, "strict_parsing": args.strict}
     if args.max_sentence_length is not None:
         try:
-            config.rules = replace(config.rules, max_sentence_length=args.max_sentence_length)
+            overrides["rules"] = replace(config.rules, max_sentence_length=args.max_sentence_length)
         except ValueError as exc:
             raise ConfigError(f"bad --max-sentence-length: {exc}") from None
-    return config
+    return replace(config, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _read_input(path: str, read):
@@ -320,7 +309,7 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
 
 def cmd_extract(config: RunConfig) -> int:
     inventory = _prepare(config, config.corpus_paths)
-    targets = frozenset(lemma.lower() for lemma in inventory.lemmas)
+    targets = frozenset(inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
     with _atomic_output(_prefix_path(config, "lexsets.json")) as stream:
         write_database(sets, stream)
@@ -341,13 +330,7 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
     store = _read_input(config.vectors_path,
                         lambda stream: load_text_vectors(stream, metadata=config.vectors_path, vocabulary=fillers))
 
-    result = analyze_lexical_sets(
-        sets,
-        store,
-        inventory,
-        distance_rank_direction=config.distance_rank_direction,
-        overlap_rank_direction=config.overlap_rank_direction,
-    )
+    result = analyze_lexical_sets(sets, store, inventory)
 
     geometry_csv, geometry_json = report.geometry_documents(result, verbose=config.verbose_geometry)
     analysis_csv, analysis_json = report.analysis_documents(result)
@@ -403,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="JSON run configuration")
         sub.add_argument("--output-prefix", help="override the configured output prefix")
         sub.add_argument("--workers", type=int, help="override the configured worker count")
-        sub.add_argument("--strict", action="store_true", help="abort on the first parse error")
+        sub.add_argument("--strict", action="store_true", default=None, help="abort on the first parse error")
         sub.add_argument(
             "--max-sentence-length", type=int, help="override the sentence-length cutoff"
         )

@@ -45,29 +45,6 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class ColumnMap:
-    """0-based positions of the required fields in a token line.
-
-    The default matches the 10-column CoNLL convention (ID, FORM, LEMMA,
-    UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC).
-    """
-
-    index: int = 0
-    surface: int = 1
-    lemma: int = 2
-    upos: int = 3
-    head: int = 6
-    deprel: int = 7
-
-    @property
-    def min_fields(self) -> int:
-        return max(self.index, self.surface, self.lemma, self.upos, self.head, self.deprel) + 1
-
-
-DEFAULT_COLUMNS = ColumnMap()
-
-
-@dataclass(frozen=True)
 class ExtractionRules:
     """Relation labels and thresholds driving the extraction.
 
@@ -153,12 +130,12 @@ class ParseStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def _line_error(parts: list[str], columns: ColumnMap, min_fields: int) -> str:
+def _line_error(parts: list[str]) -> str:
     """Why a token line that failed the check in :func:`parse_conll` is malformed."""
-    if len(parts) < min_fields:
-        return f"expected at least {min_fields} tab-separated fields, got {len(parts)}"
-    raw_index = parts[columns.index]
-    raw_head = parts[columns.head]
+    if len(parts) < 8:
+        return f"expected at least 8 tab-separated fields, got {len(parts)}"
+    raw_index = parts[0]
+    raw_head = parts[6]
     try:
         int(raw_index)
         int(raw_head)
@@ -194,24 +171,22 @@ def _finish_sentence(tokens: list[Token], line_numbers: list[int], source_id: st
 def parse_conll(
     stream: Iterable[str],
     *,
-    columns: ColumnMap = DEFAULT_COLUMNS,
     strict: bool = True,
     stats: ParseStats | None = None,
 ) -> Iterator[Sentence]:
     """Yield sentences from a character stream of CoNLL token lines.
 
-    Comment lines (``#``), multiword-range lines (index containing
-    ``-``) and CoNLL-U empty nodes (index ``N.M`` on a line with all the
-    required fields) are skipped; both kinds of skipped token line are
-    counted in ``stats.range_lines_skipped``. Malformed lines raise
-    :class:`ConllParseError` when ``strict``; otherwise the surrounding
-    sentence is dropped and counted in ``stats``.
+    Token lines use the 10-column CoNLL layout (ID, FORM, LEMMA, UPOS,
+    XPOS, FEATS, HEAD, DEPREL, DEPS, MISC); the first 8 fields are
+    required. Comment lines (``#``), multiword-range lines (index
+    containing ``-``) and CoNLL-U empty nodes (index ``N.M`` on a line
+    with all the required fields) are skipped; both kinds of skipped
+    token line are counted in ``stats.range_lines_skipped``. Malformed
+    lines raise :class:`ConllParseError` when ``strict``; otherwise the
+    surrounding sentence is dropped and counted in ``stats``.
     """
     if stats is None:
         stats = ParseStats()
-    min_fields = columns.min_fields
-    index_column, surface_column, lemma_column = columns.index, columns.surface, columns.lemma
-    upos_column, head_column, deprel_column = columns.upos, columns.head, columns.deprel
     # A Token is a NamedTuple; building it through tuple.__new__ skips the
     # keyword-handling __new__ the class generates.
     new_token = tuple.__new__
@@ -254,37 +229,34 @@ def parse_conll(
             continue
         parts = line.split("\t")
         field_count = len(parts)
-        if field_count > index_column:
-            raw_index = parts[index_column]
-            if "-" in raw_index:
+        raw_index = parts[0]
+        if "-" in raw_index:
+            stats.range_lines_skipped += 1
+            continue
+        if "." in raw_index and field_count >= 8:
+            major, _, minor = raw_index.partition(".")
+            if major.isdecimal() and minor.isdecimal():
                 stats.range_lines_skipped += 1
                 continue
-            if "." in raw_index and field_count >= min_fields:
-                major, _, minor = raw_index.partition(".")
-                if major.isdecimal() and minor.isdecimal():
-                    stats.range_lines_skipped += 1
-                    continue
         # Checked in the order of the error texts in _line_error: field
         # count, then numeric index and head, then non-empty lemma and deprel.
-        # A line too short for the index column fails the field count, so
-        # raw_index is always bound when it is read.
         try:
-            if field_count < min_fields:
+            if field_count < 8:
                 raise ValueError
             index = int(raw_index)
-            head = int(parts[head_column])
-            lemma = parts[lemma_column]
-            deprel = parts[deprel_column]
+            head = int(parts[6])
+            lemma = parts[2]
+            deprel = parts[7]
             if not lemma or not deprel:
                 raise ValueError
         except ValueError:
             if strict:
-                raise ConllParseError(_line_error(parts, columns, min_fields), line_number) from None
+                raise ConllParseError(_line_error(parts), line_number) from None
             stats.malformed_lines += 1
             bad_block = True
             continue
         if not bad_block:
-            add_token(new_token(Token, (index, parts[surface_column], lemma, parts[upos_column], head, deprel)))
+            add_token(new_token(Token, (index, parts[1], lemma, parts[3], head, deprel)))
             add_line_number(line_number)
 
 

@@ -550,12 +550,26 @@ def test_empty_corpus_path_exits_one(workdir, command):
 
 
 @pytest.mark.parametrize("command", ["validate-config", "run"])
-def test_bad_rank_direction_exits_one_before_any_work(workdir, command):
-    set_config_field(workdir, "distance_rank_direction", "up")
+def test_rank_direction_field_is_unknown(workdir, command):
+    # distances always rank ascending and overlaps descending
+    set_config_field(workdir, "distance_rank_direction", "ascending")
     result = run_cli(workdir, command, "--config", "toy_config.json")
     assert result.returncode == 1
-    assert "distance_rank_direction must be 'ascending' or 'descending', got 'up'" in result.stderr
+    assert result.stderr == "error: unknown config fields: ['distance_rank_direction']\n"
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "extract", "analyze", "run"])
+def test_inventory_lemma_with_a_capital_exits_two_before_any_work(workdir, command):
+    if command == "analyze":
+        assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
+    inventory = (workdir / "toy_inventory.json").read_text()
+    (workdir / "toy_inventory.json").write_text(inventory.replace('"rompere"', '"Rompere"'))
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: toy_inventory.json: inventory lemmas must be lower-case, got 'Rompere'\n"
+    written = sorted(path.name for path in (workdir / "out").glob("*")) if (workdir / "out").exists() else []
+    assert written == (sorted(EXTRACT_FILES) if command == "analyze" else [])
 
 
 @pytest.mark.parametrize("command", ["validate-config", "run"])
@@ -627,7 +641,14 @@ def test_zero_max_sentence_length_is_a_usage_error(workdir):
 def test_zero_workers_is_a_usage_error(workdir):
     result = run_cli(workdir, "extract", "--config", "toy_config.json", "--workers", "0")
     assert result.returncode == 1
-    assert "--workers must be >= 1" in result.stderr
+    assert result.stderr == "error: worker_count must be >= 1\n"
+
+
+def test_empty_output_prefix_override_is_a_usage_error(workdir):
+    result = run_cli(workdir, "extract", "--config", "toy_config.json", "--output-prefix", "")
+    assert result.returncode == 1
+    assert result.stderr == "error: output_prefix is required\n"
+    assert not (workdir / "out").exists()
 
 
 def test_analysis_manifest_reports_large_distances(workdir):
@@ -645,7 +666,6 @@ def test_load_config_defaults(workdir):
     assert config.worker_count == 1
     assert config.rules.max_sentence_length == 15
     assert config.rules.object_relations == frozenset({"dobj"})
-    assert config.distance_rank_direction == "ascending"
 
 
 @pytest.mark.parametrize(
@@ -658,8 +678,6 @@ def test_load_config_defaults(workdir):
         ("worker_count", 2.0),
         ("worker_count", True),
         ("worker_count", "2"),
-        ("distance_rank_direction", "up"),
-        ("overlap_rank_direction", "Descending"),
         ("corpus_paths", "toy.conllu"),
         ("corpus_paths", ["toy.conllu", 3]),
         ("rules", {"verb_pos_tags": "VERB"}),

@@ -12,8 +12,6 @@ from lexsets.analysis import load_inventory
 from lexsets.cli import _cut_ranges, _extract_shard, _merge_shards
 
 from lexsets.corpus import (
-    DEFAULT_COLUMNS,
-    ColumnMap,
     ExtractionRules,
     LexicalSet,
     ParseStats,
@@ -185,50 +183,12 @@ def test_empty_node_with_too_few_fields_is_malformed():
     assert stats.sentences_skipped == 1
 
 
-def test_custom_column_map():
-    columns = ColumnMap(index=0, surface=1, lemma=2, upos=3, head=4, deprel=5)
-    line = "1\tcasa\tcasa\tNOUN\t0\troot"
-    sentences = parse_text(line, columns=columns)
-    assert sentences[0].tokens[0].upos == "NOUN"
-    assert DEFAULT_COLUMNS.min_fields == 8
-
-
-# The index in column 1, behind the surface form.
-SURFACE_FIRST = ColumnMap(index=1, surface=0, lemma=2, upos=3, head=6, deprel=7)
-
-
-def surface_first_line(index, form, lemma, upos, head, deprel):
-    return f"{form}\t{index}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_"
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_custom_index_column_skips_range_lines_and_empty_nodes(strict):
-    text = "\n".join(
-        [
-            "della\t1-2\t_\t_\t_\t_\t_\t_\t_\t_",
-            surface_first_line(1, "di", "di", "ADP", 2, "case"),
-            surface_first_line(2, "apre", "aprire", "VERB", 0, "root"),
-            "apre\t2.1\taprire\tVERB\t_\t_\t_\t_\t0:root\t_",
-        ]
-    )
-    stats = ParseStats()
-    sentences = parse_text(text, columns=SURFACE_FIRST, strict=strict, stats=stats)
-    assert [[(t.index, t.surface) for t in s.tokens] for s in sentences] == [[(1, "di"), (2, "apre")]]
-    assert stats.as_dict() == {
-        "sentences_parsed": 1,
-        "sentences_skipped": 0,
-        "malformed_lines": 0,
-        "comment_lines": 0,
-        "range_lines_skipped": 2,
-    }
-
-
-def test_line_too_short_for_the_index_column_is_malformed():
-    text = "\n".join(["-", surface_first_line(1, "di", "di", "ADP", 0, "root")])
+def test_one_field_line_is_malformed():
+    text = "\n".join(["x", conll_line(1, "casa", "casa", "NOUN", 0, "root")])
     with pytest.raises(ConllParseError, match="^line 1: expected at least 8 tab-separated fields, got 1$"):
-        parse_text(text, columns=SURFACE_FIRST)
+        parse_text(text)
     stats = ParseStats()
-    assert parse_text(text, columns=SURFACE_FIRST, strict=False, stats=stats) == []
+    assert parse_text(text, strict=False, stats=stats) == []
     assert (stats.malformed_lines, stats.sentences_skipped, stats.range_lines_skipped) == (1, 1, 0)
 
 

@@ -16,10 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexsets.corpus import (
-    DEFAULT_COLUMNS,
     ROLE_O,
     ROLE_S,
-    ColumnMap,
     ExtractionRules,
     ParseStats,
     count_fillers,
@@ -28,6 +26,11 @@ from lexsets.corpus import (
 from lexsets.errors import ConllParseError
 
 # --- oracle: the earlier parser and extractor -----------------------------
+
+# 0-based positions of the fields the oracle reads, in the 10-column CoNLL
+# layout (ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC).
+INDEX, SURFACE, LEMMA, UPOS, HEAD, DEPREL = 0, 1, 2, 3, 6, 7
+MIN_FIELDS = 8
 
 
 @dataclass(frozen=True)
@@ -40,25 +43,25 @@ class OracleToken:
     deprel: str
 
 
-def _oracle_token_line(parts, line_number, columns, min_fields):
-    if len(parts) < min_fields:
-        raise ConllParseError(f"expected at least {min_fields} tab-separated fields, got {len(parts)}", line_number)
-    raw_index = parts[columns.index]
-    raw_head = parts[columns.head]
+def _oracle_token_line(parts, line_number):
+    if len(parts) < MIN_FIELDS:
+        raise ConllParseError(f"expected at least {MIN_FIELDS} tab-separated fields, got {len(parts)}", line_number)
+    raw_index = parts[INDEX]
+    raw_head = parts[HEAD]
     try:
         index = int(raw_index)
         head = int(raw_head)
     except ValueError:
         raise ConllParseError(f"non-numeric index/head ({raw_index!r}, {raw_head!r})", line_number) from None
-    lemma = parts[columns.lemma]
-    deprel = parts[columns.deprel]
+    lemma = parts[LEMMA]
+    deprel = parts[DEPREL]
     if not lemma or not deprel:
         raise ConllParseError("empty lemma or deprel field", line_number)
     return OracleToken(
         index=index,
-        surface=parts[columns.surface],
+        surface=parts[SURFACE],
         lemma=lemma,
-        upos=parts[columns.upos],
+        upos=parts[UPOS],
         head=head,
         deprel=deprel,
     )
@@ -76,10 +79,9 @@ def oracle_finish_sentence(pending, source_id):
     return (source_id, tuple(astuple(t) for _, t in pending))
 
 
-def oracle_parse_conll(stream, *, columns=DEFAULT_COLUMNS, strict=True, stats=None):
+def oracle_parse_conll(stream, *, strict=True, stats=None):
     if stats is None:
         stats = ParseStats()
-    min_fields = columns.min_fields
     pending = []
     source_id = ""
     bad_block = False
@@ -124,13 +126,13 @@ def oracle_parse_conll(stream, *, columns=DEFAULT_COLUMNS, strict=True, stats=No
         if "-" in first_field:
             stats.range_lines_skipped += 1
             continue
-        if "." in first_field and len(parts) >= min_fields:
+        if "." in first_field and len(parts) >= MIN_FIELDS:
             major, _, minor = first_field.partition(".")
             if major.isdecimal() and minor.isdecimal():
                 stats.range_lines_skipped += 1
                 continue
         try:
-            token = _oracle_token_line(parts, line_number, columns, min_fields)
+            token = _oracle_token_line(parts, line_number)
         except ConllParseError:
             if strict:
                 raise
@@ -178,13 +180,6 @@ def oracle_extract_fillers(sentence, verbs, rules):
 
 # --- generated corpora ----------------------------------------------------
 
-# Every map keeps the index in column 0, where the earlier parser looked
-# for range lines and empty nodes.
-COLUMN_MAPS = [
-    DEFAULT_COLUMNS,
-    ColumnMap(index=0, surface=1, lemma=2, upos=3, head=4, deprel=5),
-    ColumnMap(index=0, surface=5, lemma=1, upos=2, head=4, deprel=3),
-]
 TARGETS = ("aprire", "Rompere")
 RULES = ExtractionRules()
 LEMMAS = ["aprire", "APRIRE", "rompere", "porta", "vetro", "si", "Si"]
@@ -198,10 +193,10 @@ FAULTY_KINDS = [
 ]
 
 
-def _layout(columns, index, surface, lemma, upos, head, deprel):
-    fields = ["_"] * columns.min_fields
+def _layout(index, surface, lemma, upos, head, deprel):
+    fields = ["_"] * MIN_FIELDS
     for column, value in zip(
-        (columns.index, columns.surface, columns.lemma, columns.upos, columns.head, columns.deprel),
+        (INDEX, SURFACE, LEMMA, UPOS, HEAD, DEPREL),
         (index, surface, lemma, upos, head, deprel),
     ):
         fields[column] = str(value)
@@ -209,7 +204,7 @@ def _layout(columns, index, surface, lemma, upos, head, deprel):
 
 
 @st.composite
-def token_line(draw, columns, n, index, kind):
+def token_line(draw, n, index, kind):
     lemma = draw(st.sampled_from(LEMMAS))
     upos = draw(st.sampled_from(["VERB", "VERB", "NOUN", "PRON", "AUX"]))
     head = draw(st.integers(0, n))
@@ -245,20 +240,20 @@ def token_line(draw, columns, n, index, kind):
         index = f"{index}.x"
     elif kind == "comment":
         return draw(st.sampled_from(["# text = a b", f"# sent_id = s{index}", "#sent_id=bare", "# note"]))
-    return _layout(columns, index, lemma, lemma, upos, head, deprel)
+    return _layout(index, lemma, lemma, upos, head, deprel)
 
 
 @st.composite
-def corpus_text(draw, columns):
+def corpus_text(draw):
     parts = []
     for _ in range(draw(st.integers(0, 8))):
         n = draw(st.integers(1, 6))
-        lines = [draw(token_line(columns, n, index, "good")) for index in range(1, n + 1)]
+        lines = [draw(token_line(n, index, "good")) for index in range(1, n + 1)]
         for _ in range(draw(st.integers(0, 2))):
-            lines.insert(draw(st.integers(0, n)), draw(token_line(columns, n, 1, draw(st.sampled_from(SKIPPED_KINDS)))))
+            lines.insert(draw(st.integers(0, n)), draw(token_line(n, 1, draw(st.sampled_from(SKIPPED_KINDS)))))
         if draw(st.integers(0, 3)) == 0:
             at = draw(st.integers(0, n - 1))
-            lines[at] = draw(token_line(columns, n, at + 1, draw(st.sampled_from(FAULTY_KINDS))))
+            lines[at] = draw(token_line(n, at + 1, draw(st.sampled_from(FAULTY_KINDS))))
         for line in lines:
             parts.append(line + draw(st.sampled_from(["\n", "\r\n"])))
         parts.append(draw(st.sampled_from(SEPARATORS)))
@@ -268,21 +263,20 @@ def corpus_text(draw, columns):
     return text
 
 
-def _run(parse, text, columns, strict):
+def _run(parse, text, strict):
     stats = ParseStats()
     try:
-        sentences = list(parse(io.StringIO(text, newline=""), columns=columns, strict=strict, stats=stats))
+        sentences = list(parse(io.StringIO(text, newline=""), strict=strict, stats=stats))
     except ConllParseError as exc:
         return ("error", exc.reason, exc.line_number), stats.as_dict()
     return sentences, stats.as_dict()
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.data(), st.sampled_from(COLUMN_MAPS), st.booleans())
-def test_parse_and_count_match_the_earlier_parser(data, columns, strict):
-    text = data.draw(corpus_text(columns))
-    sentences, stats = _run(parse_conll, text, columns, strict)
-    expected, expected_stats = _run(oracle_parse_conll, text, columns, strict)
+@given(corpus_text(), st.booleans())
+def test_parse_and_count_match_the_earlier_parser(text, strict):
+    sentences, stats = _run(parse_conll, text, strict)
+    expected, expected_stats = _run(oracle_parse_conll, text, strict)
     assert stats == expected_stats
     if isinstance(sentences, list):
         assert [(s.source_id, s.tokens) for s in sentences] == expected
