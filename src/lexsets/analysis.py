@@ -18,7 +18,7 @@ from typing import IO, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ROLE_O, ROLE_S, LexicalSet
+from .corpus import ROLE_O, ROLE_S, ROLES, LexicalSet
 from .embeddings import EmbeddingStore, cosine_distance
 from .errors import (
     DegenerateVectorError,
@@ -359,7 +359,7 @@ def analyze_lexical_sets(
         lemma = entry.lemma
         role_geoms: dict[str, SetGeometry] = {}
         reason = None
-        for role in (ROLE_S, ROLE_O):
+        for role in ROLES:
             lex_set = sets.get((lemma, role))
             if lex_set is None or not lex_set.counts:
                 reason = f"no {role} fillers extracted"

@@ -1,8 +1,8 @@
 """Command-line pipeline: extract lexical sets, then analyse their geometry.
 
 Subcommands: ``extract``, ``analyze``, ``run`` (both stages) and
-``validate-config``. Runs are driven by a JSON config file; a few flags
-override config values. Exit codes: 0 success, 1 usage/config error,
+``validate-config``. Runs are driven by a JSON config file; each command
+takes only the flags it reads. Exit codes: 0 success, 1 usage/config error,
 2 input or parse error, 3 empty result.
 """
 
@@ -34,7 +34,7 @@ from .corpus import (
     write_database,
     write_database_tsv,
 )
-from .embeddings import load_text_vectors
+from .embeddings import _VectorReader, load_text_vectors
 from .errors import ConfigError, ConllParseError, InputError, LexsetsError, VectorFormatError
 
 EXIT_OK = 0
@@ -105,13 +105,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """``config`` with the flags that were given; the new config passes the same checks as a config file."""
-    overrides = {"output_prefix": args.output_prefix, "worker_count": args.workers, "strict_parsing": args.strict}
-    if args.max_sentence_length is not None:
-        try:
-            overrides["rules"] = replace(config.rules, max_sentence_length=args.max_sentence_length)
-        except ValueError as exc:
-            raise ConfigError(f"bad --max-sentence-length: {exc}") from None
-    return replace(config, **{name: value for name, value in overrides.items() if value is not None})
+    given = {name: value for name, value in vars(args).items()
+             if name in ("output_prefix", "worker_count") and value is not None}
+    return replace(config, **given)
 
 
 def _read_input(path: str, read):
@@ -128,22 +124,25 @@ def _read_input(path: str, read):
 
 
 def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
-    """Check that a command's input files exist, then read the inventory and any reference ranking.
+    """Check a command's inputs before any work: every file exists, then the inventory, then the vector head.
 
     ``paths`` are the command's own inputs. One error names every missing file, a line each, before any is opened.
+    Of the vector file, when ``paths`` holds it, only the header and first data row are read.
     """
     inputs = [*paths, config.inventory_path, config.reference_ranking_path]
     missing = [path for path in inputs if path and not Path(path).is_file()]
     if missing:  # main prints "error: " before the first line
         raise InputError("\nerror: ".join(f"missing input file: {path}" for path in missing))
     inventory = _read_input(config.inventory_path, load_inventory)
-    if not config.reference_ranking_path:
-        return inventory
-    reference = _read_input(config.reference_ranking_path, load_reference_ranking)
-    try:
-        return VerbInventory(inventory.entries, reference)
-    except InputError as exc:
-        raise InputError(f"{config.reference_ranking_path}: {exc}") from None
+    if config.reference_ranking_path:
+        reference = _read_input(config.reference_ranking_path, load_reference_ranking)
+        try:
+            inventory = VerbInventory(inventory.entries, reference)
+        except InputError as exc:
+            raise InputError(f"{config.reference_ranking_path}: {exc}") from None
+    if config.vectors_path in paths:
+        _read_input(config.vectors_path, _VectorReader(()).take_head)
+    return inventory
 
 
 def _prefix_path(config: RunConfig, suffix: str) -> Path:
@@ -307,8 +306,23 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     return lexical_sets_from_counts(counts), manifest
 
 
+# Each command checks its inputs once, in _prepare, then runs the stage bodies on the inventory it returns.
 def cmd_extract(config: RunConfig) -> int:
-    inventory = _prepare(config, config.corpus_paths)
+    return _extract(config, _prepare(config, config.corpus_paths))
+
+
+def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
+    database_path = database_path or f"{config.output_prefix}_lexsets.json"
+    return _analyze(config, _prepare(config, [database_path, config.vectors_path]), database_path)
+
+
+def cmd_run(config: RunConfig) -> int:
+    inventory = _prepare(config, [*config.corpus_paths, config.vectors_path])
+    _extract(config, inventory)
+    return _analyze(config, inventory, f"{config.output_prefix}_lexsets.json")
+
+
+def _extract(config: RunConfig, inventory: VerbInventory) -> int:
     targets = frozenset(inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
     with _atomic_output(_prefix_path(config, "lexsets.json")) as stream:
@@ -321,9 +335,7 @@ def cmd_extract(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
-    database_path = database_path or f"{config.output_prefix}_lexsets.json"
-    inventory = _prepare(config, [database_path, config.vectors_path])
+def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) -> int:
     sets = _read_input(database_path, read_database)
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     # a lambda looks up load_text_vectors when it runs, so a wrapper set on this module sees the call
@@ -362,12 +374,6 @@ def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_run(config: RunConfig) -> int:
-    _prepare(config, [*config.corpus_paths, config.vectors_path])
-    cmd_extract(config)
-    return cmd_analyze(config)
-
-
 def cmd_validate_config(path: str) -> int:
     config = load_config(path)
     _prepare(config, [*config.corpus_paths, config.vectors_path])
@@ -381,23 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extract verb-argument lexical sets and analyse their vector geometry.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    for name, text in (("extract", "extract the lexical-set database"), ("analyze", "analyse an extracted database"),
+                       ("run", "extract then analyse"), ("validate-config", "check a config file and its inputs")):
+        sub = subparsers.add_parser(name, help=text)
         sub.add_argument("--config", required=True, help="JSON run configuration")
-        sub.add_argument("--output-prefix", help="override the configured output prefix")
-        sub.add_argument("--workers", type=int, help="override the configured worker count")
-        sub.add_argument("--strict", action="store_true", default=None, help="abort on the first parse error")
-        sub.add_argument(
-            "--max-sentence-length", type=int, help="override the sentence-length cutoff"
-        )
-
-    add_common(subparsers.add_parser("extract", help="extract the lexical-set database"))
-    analyze = subparsers.add_parser("analyze", help="analyse an extracted database")
-    add_common(analyze)
-    analyze.add_argument("--database", help="lexical-set database (default: <prefix>_lexsets.json)")
-    add_common(subparsers.add_parser("run", help="extract then analyse"))
-    validate = subparsers.add_parser("validate-config", help="check a config file")
-    validate.add_argument("--config", required=True)
+        if name != "validate-config":
+            sub.add_argument("--output-prefix", help="override the configured output prefix")
+        if name in ("extract", "run"):
+            sub.add_argument("--workers", dest="worker_count", type=int, metavar="N",
+                             help="override the configured worker count")
+        if name == "analyze":
+            sub.add_argument("--database", help="lexical-set database (default: <prefix>_lexsets.json)")
     return parser
 
 

@@ -38,7 +38,6 @@ class Token(NamedTuple):
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
-    source_id: str = ""
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -148,7 +147,7 @@ _index_of = itemgetter(0)
 _head_of = itemgetter(4)
 
 
-def _finish_sentence(tokens: list[Token], line_numbers: list[int], source_id: str) -> Sentence:
+def _finish_sentence(tokens: list[Token], line_numbers: list[int]) -> Sentence:
     n = len(tokens)
     positions = range(1, n + 1)
     heads = list(map(_head_of, tokens))
@@ -165,7 +164,7 @@ def _finish_sentence(tokens: list[Token], line_numbers: list[int], source_id: st
                 raise ConllParseError(f"head {token.head} out of range for a {n}-token sentence", line_number)
             if token.head == token.index:
                 raise ConllParseError(f"token {token.index} is its own head", line_number)
-    return Sentence(tokens=tuple(tokens), source_id=source_id)
+    return Sentence(tuple(tokens))
 
 
 def parse_conll(
@@ -193,7 +192,6 @@ def parse_conll(
     tokens: list[Token] = []
     line_numbers: list[int] = []
     add_token, add_line_number = tokens.append, line_numbers.append
-    source_id = ""
     bad_block = False
 
     line_number = 0
@@ -208,7 +206,7 @@ def parse_conll(
                 stats.sentences_skipped += 1
             elif tokens:
                 try:
-                    sentence = _finish_sentence(tokens, line_numbers, source_id)
+                    sentence = _finish_sentence(tokens, line_numbers)
                     stats.sentences_parsed += 1
                 except ConllParseError:
                     if strict:
@@ -216,16 +214,12 @@ def parse_conll(
                     stats.sentences_skipped += 1
             tokens.clear()
             line_numbers.clear()
-            source_id = ""
             bad_block = False
             if sentence is not None:
                 yield sentence
             continue
         if line[0] == "#":
             stats.comment_lines += 1
-            text = line.lstrip("#").strip()
-            if text.startswith("sent_id") and "=" in text:
-                source_id = text.split("=", 1)[1].strip()
             continue
         parts = line.split("\t")
         field_count = len(parts)
@@ -320,9 +314,11 @@ def count_fillers(
 
 
 def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict[tuple[str, str], LexicalSet]:
-    """Group (verb, role, lemma) -> count entries into lexical sets."""
+    """Group (verb, role, lemma) -> count entries into lexical sets; a role outside ``ROLES`` is a ValueError."""
     sets: dict[tuple[str, str], LexicalSet] = {}
     for (verb, role, lemma), count in counts.items():
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r} for verb {verb!r}")
         if count < 1:
             continue
         sets.setdefault((verb, role), LexicalSet(verb, role, {})).counts[lemma] = count
@@ -330,8 +326,7 @@ def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict
 
 
 def _sorted_sets(sets: Mapping[tuple[str, str], LexicalSet]) -> list[LexicalSet]:
-    role_order = {role: i for i, role in enumerate(ROLES)}
-    return [sets[key] for key in sorted(sets, key=lambda k: (k[0], role_order.get(k[1], 99)))]
+    return [sets[key] for key in sorted(sets, key=lambda k: (k[0], ROLES.index(k[1])))]
 
 
 def database_to_obj(sets: Mapping[tuple[str, str], LexicalSet]) -> list[dict]:

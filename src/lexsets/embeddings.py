@@ -102,12 +102,7 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
     """
     reader = _VectorReader(vocabulary)
     lines = iter(stream)
-    line_number = 0
-    for raw_line in lines:
-        line_number += 1
-        reader.take_line(raw_line, line_number)
-        if reader.data_rows:
-            break
+    line_number = reader.take_head(lines)
     while block := list(islice(lines, BLOCK_LINES)):
         if not reader.take_block(block):
             for offset, raw_line in enumerate(block, start=1):
@@ -128,6 +123,16 @@ class _VectorReader:
         self.rows: dict[str, int] = {}
         self.unheld: set[str] = set()
         self.duplicates = 0
+
+    def take_head(self, lines: Iterator[str]) -> int:
+        """Take lines up to and including the first data row, leaving the rest unread; return how many were taken."""
+        line_number = 0
+        for raw_line in lines:
+            line_number += 1
+            self.take_line(raw_line, line_number)
+            if self.data_rows:
+                break
+        return line_number
 
     def take_line(self, raw_line: str, line_number: int) -> None:
         """Check one line and hold its row if the word is new and wanted; the checker of record."""

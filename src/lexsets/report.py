@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Mapping, Sequence
 
 from .analysis import AnalysisResult, VerbResult
-from .corpus import ROLE_O, ROLE_S
+from .corpus import ROLE_O, ROLE_S, ROLES
 from .errors import PlotSpecError
 from .geometry import COVERAGE_FIELDS, BoxStats
 
@@ -302,8 +302,10 @@ ANALYSIS_COLUMNS = ["verb" if f.name == "lemma" else f.name for f in fields(Verb
 
 def geometry_rows(result: AnalysisResult) -> list[dict]:
     return [
-        {"verb": verb, "role": role, **geometry.coverage(), **result.boxes[(verb, role)].as_dict()}
-        for (verb, role), geometry in sorted(result.geometries.items(), key=lambda kv: (kv[0][0], kv[0][1] != ROLE_S))
+        {"verb": verb, "role": role, **result.geometries[(verb, role)].coverage(),
+         **result.boxes[(verb, role)].as_dict()}
+        for verb in sorted({verb for verb, _ in result.geometries})
+        for role in ROLES
     ]
 
 
@@ -362,11 +364,7 @@ def figure_specs(result: AnalysisResult) -> dict[str, PlotSpec]:
     specs: dict[str, PlotSpec] = {}
     verbs = sorted({verb for verb, _ in result.geometries})
     for verb in verbs:
-        series = [
-            (role, result.boxes[(verb, role)])
-            for role in (ROLE_S, ROLE_O)
-            if (verb, role) in result.boxes
-        ]
+        series = [(role, result.boxes[(verb, role)]) for role in ROLES]
         specs[f"fig1_{verb}"] = PlotSpec(
             kind="box_whisker_panel",
             title=f"Distance of fillers from their centroid: {verb}",
@@ -374,7 +372,7 @@ def figure_specs(result: AnalysisResult) -> dict[str, PlotSpec]:
             x_label="argument set",
             y_label="cosine distance from centroid",
         )
-    for role, attr in ((ROLE_S, "s_median"), (ROLE_O, "o_median")):
+    for role, attr in zip(ROLES, ("s_median", "o_median")):
         series = [(v.lemma, v.spontaneity_rank, getattr(v, attr)) for v in result.verbs]
         if series:
             specs[f"fig2_{role}"] = PlotSpec(

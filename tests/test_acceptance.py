@@ -218,26 +218,51 @@ GOLDEN_FILES = [
 ]
 
 
-def test_end_to_end_golden_run_across_worker_counts(tmp_path):
-    outputs = {}
+REFERENCE_GOLDEN_FILES = ["toy_analysis.csv", "toy_analysis.json", "toy_analysis_manifest.json"]
+
+
+def _assert_golden_at_worker_counts(tmp_path, config, subdir, names):
+    """Run ``config`` at workers 1, 4 and 8; each named file in ``out/<subdir>`` must equal its golden."""
     for workers in (1, 4, 8):
         rundir = tmp_path / f"workers{workers}"
         rundir.mkdir()
-        for name in ["toy.conllu", "toy_vectors.txt", "toy_inventory.json", "toy_config.json"]:
+        for name in ["toy.conllu", "toy_vectors.txt", "toy_inventory.json", "toy_reference_ranking.json", config]:
             shutil.copy(DATA_DIR / name, rundir / name)
-        result = run_cli(
-            rundir, "run", "--config", "toy_config.json", "--workers", str(workers)
-        )
+        result = run_cli(rundir, "run", "--config", config, "--workers", str(workers))
         assert result.returncode == 0, result.stderr
-        outputs[workers] = {
-            name: (rundir / "out" / name).read_bytes() for name in GOLDEN_FILES
-        }
-    for name in GOLDEN_FILES:
-        golden = (GOLDEN_DIR / name).read_bytes()
-        for workers in (1, 4, 8):
-            assert outputs[workers][name] == golden, f"{name} (workers={workers})"
+        for name in names:
+            golden = (GOLDEN_DIR / subdir / name).read_bytes()
+            assert (rundir / "out" / subdir / name).read_bytes() == golden, f"{name} (workers={workers})"
+
+
+def test_end_to_end_golden_run_across_worker_counts(tmp_path):
+    _assert_golden_at_worker_counts(tmp_path, "toy_config.json", "", GOLDEN_FILES)
     _verify_golden_numbers_by_brute_force(json.loads((GOLDEN_DIR / "toy_analysis.json").read_text()))
     passed("end-to-end golden run, byte-identical across workers 1/4/8")
+
+
+def test_reference_ranking_golden_run_across_worker_counts(tmp_path):
+    # the paper's configuration: a reference ranking over every inventory lemma, with one tie, and a
+    # ranked verb (affondare) that the analysis excludes
+    _assert_golden_at_worker_counts(tmp_path, "toy_reference_config.json", "reference", REFERENCE_GOLDEN_FILES)
+    analysis = json.loads((GOLDEN_DIR / "reference" / "toy_analysis.json").read_text())
+    reference = {e["lemma"]: e["rank"] for e in json.loads((DATA_DIR / "toy_reference_ranking.json").read_text())}
+    rows = analysis["verbs"]
+    included = [reference[row["verb"]] for row in rows]
+    assert [item["verb"] for item in analysis["excluded"]] == ["affondare"]
+    for row in rows:
+        # re-ranked over the included verbs: the mean of the positions its value shares among theirs
+        below = sum(value < reference[row["verb"]] for value in included)
+        equal = included.count(reference[row["verb"]])
+        assert row["reference_rank"] == below + (equal + 1) / 2
+    reference_ranks = [row["reference_rank"] for row in rows]
+    for name, column in (("distance_vs_reference", "distance_rank"), ("overlap_vs_reference", "overlap_rank")):
+        ranks = [row[column] for row in rows]
+        correlation = analysis["correlations"][name]
+        assert correlation["method"] == "exact_permutation"
+        assert abs(correlation["rho"] - statistics.correlation(ranks, reference_ranks)) < 5e-7
+        assert abs(correlation["p_value"] - _enumerated_pvalue(ranks, reference_ranks)) < 5e-7
+    passed("reference-ranking golden run, byte-identical across workers 1/4/8")
 
 
 def _verify_golden_numbers_by_brute_force(analysis):

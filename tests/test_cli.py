@@ -212,7 +212,8 @@ def test_missing_corpus_file_names_path(workdir):
 
 
 def test_strict_mode_aborts_on_malformed_corpus(workdir):
-    result = run_cli(workdir, "extract", "--config", "toy_config.json", "--strict")
+    set_config_field(workdir, "strict_parsing", True)
+    result = run_cli(workdir, "extract", "--config", "toy_config.json")
     assert result.returncode == 2
     assert "line" in result.stderr
 
@@ -230,9 +231,10 @@ def _corpus_with_bad_line_late(workdir, sentences=40):
 
 def test_strict_error_names_file_and_line_at_every_worker_count(workdir):
     line = _corpus_with_bad_line_late(workdir)
+    set_config_field(workdir, "strict_parsing", True)
     messages = []
     for workers in ("1", "2"):
-        result = run_cli(workdir, "extract", "--config", "toy_config.json", "--strict", "--workers", workers)
+        result = run_cli(workdir, "extract", "--config", "toy_config.json", "--workers", workers)
         assert result.returncode == 2
         messages.append(result.stderr)
     assert messages[0] == messages[1]
@@ -507,6 +509,58 @@ def test_missing_reference_ranking_names_its_file(workdir, command):
     assert not (workdir / "out").exists()
 
 
+def test_run_checks_its_inputs_and_reads_the_inventory_once(workdir, monkeypatch):
+    calls = []
+    load_inventory = cli.load_inventory
+
+    def counted(stream):
+        calls.append(stream.name)
+        return load_inventory(stream)
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "load_inventory", counted)
+    assert main(["run", "--config", "toy_config.json"]) == 0
+    assert calls == ["toy_inventory.json"]
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("extract", ["--strict"]),
+        ("extract", ["--max-sentence-length", "3"]),
+        ("run", ["--strict"]),
+        ("run", ["--max-sentence-length", "3"]),
+        ("analyze", ["--strict"]),
+        ("analyze", ["--max-sentence-length", "3"]),
+        ("analyze", ["--workers", "3"]),
+    ],
+)
+def test_removed_flag_exits_one_and_writes_nothing(workdir, monkeypatch, capsys, command, flags):
+    # strict parsing and the length cap are config fields; analyze runs in one process
+    monkeypatch.chdir(workdir)
+    assert main([command, "--config", "toy_config.json", *flags]) == 1
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "head,error",
+    [
+        ("5 -2\nporta 1.0 0.2\n", "line 1: header must declare positive dimensions"),
+        ("17 2\nporta 1.0 zero\n", "line 2: non-numeric vector component in ['1.0', 'zero']"),
+    ],
+    ids=["header", "first-row"],
+)
+def test_bad_vector_head_exits_two_before_any_work(workdir, command, head, error):
+    lines = (workdir / "toy_vectors.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    (workdir / "toy_vectors.txt").write_text(head + "".join(lines[2:]), encoding="utf-8")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == f"error: toy_vectors.txt: {error}\n"
+    assert not (workdir / "out").exists()
+
+
 def test_run_with_a_missing_vector_file_extracts_nothing(workdir):
     set_config_field(workdir, "vectors_path", "gone.txt")
     result = run_cli(workdir, "run", "--config", "toy_config.json")
@@ -621,20 +675,20 @@ def test_non_utf8_config_exits_one_with_its_path(workdir, command):
     assert not (workdir / "out").exists()
 
 
-def test_max_sentence_length_override(workdir):
-    result = run_cli(
-        workdir, "extract", "--config", "toy_config.json", "--max-sentence-length", "3"
-    )
+def test_max_sentence_length_from_config(workdir):
+    set_config_field(workdir, "rules", {"max_sentence_length": 3})
+    result = run_cli(workdir, "extract", "--config", "toy_config.json")
     assert result.returncode == 0, result.stderr
     manifest = json.loads(read_out(workdir, "toy_manifest.json"))
     assert manifest["rules"]["max_sentence_length"] == 3
     assert manifest["sentences_processed"] == 0
 
 
-def test_zero_max_sentence_length_is_a_usage_error(workdir):
-    result = run_cli(workdir, "extract", "--config", "toy_config.json", "--max-sentence-length", "0")
+def test_zero_max_sentence_length_is_a_config_error(workdir):
+    set_config_field(workdir, "rules", {"max_sentence_length": 0})
+    result = run_cli(workdir, "extract", "--config", "toy_config.json")
     assert result.returncode == 1
-    assert "bad --max-sentence-length: max_sentence_length must be >= 1" in result.stderr
+    assert "bad extraction rules: max_sentence_length must be >= 1" in result.stderr
     assert not (workdir / "out").exists()
 
 

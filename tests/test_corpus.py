@@ -145,8 +145,7 @@ def test_comments_and_ranges_skipped_and_counted():
     )
     stats = ParseStats()
     sentences = parse_text(text, stats=stats)
-    assert len(sentences) == 1
-    assert sentences[0].source_id == "doc1-5"
+    assert [token.lemma for token in sentences[0].tokens] == ["di", "il"]
     assert stats.comment_lines == 2
     assert stats.range_lines_skipped == 1
 
@@ -354,6 +353,12 @@ def test_sets_from_counts_groups_by_slot():
     assert sets[("v", "S")].counts == {"a": 2}
     assert sets[("v", "O")].counts == {"a": 1}
     assert sets[("v", "S")].total_count == 2
+
+
+def test_sets_from_counts_refuses_a_role_the_database_cannot_hold():
+    # read_database accepts only the roles in ROLES, so a set under any other could be written but not read back
+    with pytest.raises(ValueError, match="unknown role 'X' for verb 'v'"):
+        lexical_sets_from_counts(Counter({("v", "S", "a"): 1, ("v", "X", "a"): 1}))
 
 
 def test_count_fillers_matches_per_sentence_extraction():

@@ -67,7 +67,7 @@ def _oracle_token_line(parts, line_number):
     )
 
 
-def oracle_finish_sentence(pending, source_id):
+def oracle_finish_sentence(pending):
     n = len(pending)
     for position, (line_number, token) in enumerate(pending, start=1):
         if token.index != position:
@@ -76,27 +76,25 @@ def oracle_finish_sentence(pending, source_id):
             raise ConllParseError(f"head {token.head} out of range for a {n}-token sentence", line_number)
         if token.head == token.index:
             raise ConllParseError(f"token {token.index} is its own head", line_number)
-    return (source_id, tuple(astuple(t) for _, t in pending))
+    return tuple(astuple(t) for _, t in pending)
 
 
 def oracle_parse_conll(stream, *, strict=True, stats=None):
     if stats is None:
         stats = ParseStats()
     pending = []
-    source_id = ""
     bad_block = False
 
     def flush():
-        nonlocal pending, source_id, bad_block
+        nonlocal pending, bad_block
         block, pending = pending, []
-        sid, source_id = source_id, ""
         was_bad, bad_block = bad_block, False
         if was_bad:
             stats.sentences_skipped += 1
             return None
         if not block:
             return None
-        sentence = oracle_finish_sentence(block, sid)
+        sentence = oracle_finish_sentence(block)
         stats.sentences_parsed += 1
         return sentence
 
@@ -117,9 +115,6 @@ def oracle_parse_conll(stream, *, strict=True, stats=None):
             continue
         if line.startswith("#"):
             stats.comment_lines += 1
-            text = line.lstrip("#").strip()
-            if text.startswith("sent_id") and "=" in text:
-                source_id = text.split("=", 1)[1].strip()
             continue
         parts = line.split("\t")
         first_field = parts[0]
@@ -279,7 +274,7 @@ def test_parse_and_count_match_the_earlier_parser(text, strict):
     expected, expected_stats = _run(oracle_parse_conll, text, strict)
     assert stats == expected_stats
     if isinstance(sentences, list):
-        assert [(s.source_id, s.tokens) for s in sentences] == expected
+        assert [s.tokens for s in sentences] == expected
         assert count_fillers(sentences, TARGETS, RULES) == Counter(
             filler for sentence in sentences for filler in oracle_extract_fillers(sentence, TARGETS, RULES)
         )
