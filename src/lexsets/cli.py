@@ -105,9 +105,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """``config`` with the flags that were given; the new config passes the same checks as a config file."""
-    given = {name: value for name, value in vars(args).items()
-             if name in ("output_prefix", "worker_count") and value is not None}
-    return replace(config, **given)
+    # analyze has no --workers
+    flags = {"output_prefix": args.output_prefix, "worker_count": getattr(args, "workers", None)}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _read_input(path: str, read):
@@ -387,17 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extract verb-argument lexical sets and analyse their vector geometry.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, text in (("extract", "extract the lexical-set database"), ("analyze", "analyse an extracted database"),
                        ("run", "extract then analyse"), ("validate-config", "check a config file and its inputs")):
-        sub = subparsers.add_parser(name, help=text)
-        sub.add_argument("--config", required=True, help="JSON run configuration")
-        if name != "validate-config":
-            sub.add_argument("--output-prefix", help="override the configured output prefix")
-        if name in ("extract", "run"):
-            sub.add_argument("--workers", dest="worker_count", type=int, metavar="N",
-                             help="override the configured worker count")
-        if name == "analyze":
-            sub.add_argument("--database", help="lexical-set database (default: <prefix>_lexsets.json)")
+        commands[name] = subparsers.add_parser(name, help=text)
+        commands[name].add_argument("--config", required=True, help="JSON run configuration")
+    for name in ("extract", "analyze", "run"):
+        commands[name].add_argument("--output-prefix", help="override the configured output prefix")
+    for name in ("extract", "run"):
+        commands[name].add_argument("--workers", type=int, metavar="N", help="override the configured worker count")
+    commands["analyze"].add_argument("--database", help="lexical-set database (default: <prefix>_lexsets.json)")
     return parser
 
 

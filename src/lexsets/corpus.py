@@ -106,6 +106,10 @@ class LexicalSet:
     role: str
     counts: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.role not in ROLES:  # read_database accepts no other, so such a set could be written but not read back
+            raise ValueError(f"unknown role {self.role!r} for verb {self.verb_lemma!r}")
+
     @property
     def total_count(self) -> int:
         return sum(self.counts.values())
@@ -317,8 +321,6 @@ def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict
     """Group (verb, role, lemma) -> count entries into lexical sets; a role outside ``ROLES`` is a ValueError."""
     sets: dict[tuple[str, str], LexicalSet] = {}
     for (verb, role, lemma), count in counts.items():
-        if role not in ROLES:
-            raise ValueError(f"unknown role {role!r} for verb {verb!r}")
         if count < 1:
             continue
         sets.setdefault((verb, role), LexicalSet(verb, role, {})).counts[lemma] = count

@@ -580,6 +580,21 @@ def test_analyze_reports_a_malformed_inventory_before_reading_the_vectors(workdi
     assert "toy_vectors.txt" not in result.stderr
 
 
+def test_analyze_reports_a_bad_vector_head_before_reading_the_database(workdir):
+    # the check phase reads the vector head; the database is read after it, by the analyze stage
+    (workdir / "out").mkdir()
+    (workdir / "out" / "toy_lexsets.json").write_text('{"not": "a list"}', encoding="utf-8")
+    lines = (workdir / "toy_vectors.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    (workdir / "toy_vectors.txt").write_text("5 -2\n" + "".join(lines[1:]), encoding="utf-8")
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: toy_vectors.txt: line 1: header must declare positive dimensions\n"
+    (workdir / "toy_vectors.txt").write_text("".join(lines), encoding="utf-8")
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: out/toy_lexsets.json: database must be a JSON list of lexical sets\n"
+
+
 def test_input_removed_after_the_check_exits_two_with_its_path(workdir, monkeypatch, capsys):
     prepare = cli._prepare
 

@@ -145,7 +145,7 @@ def test_comments_and_ranges_skipped_and_counted():
     )
     stats = ParseStats()
     sentences = parse_text(text, stats=stats)
-    assert [token.lemma for token in sentences[0].tokens] == ["di", "il"]
+    assert [[token.lemma for token in sentence.tokens] for sentence in sentences] == [["di", "il"]]
     assert stats.comment_lines == 2
     assert stats.range_lines_skipped == 1
 
@@ -359,6 +359,12 @@ def test_sets_from_counts_refuses_a_role_the_database_cannot_hold():
     # read_database accepts only the roles in ROLES, so a set under any other could be written but not read back
     with pytest.raises(ValueError, match="unknown role 'X' for verb 'v'"):
         lexical_sets_from_counts(Counter({("v", "S", "a"): 1, ("v", "X", "a"): 1}))
+
+
+def test_lexical_set_refuses_a_role_the_database_cannot_hold():
+    # a hand-built set reaches write_database without lexical_sets_from_counts
+    with pytest.raises(ValueError, match="unknown role 'X' for verb 'v'"):
+        write_database({("v", "X"): LexicalSet("v", "X", {"a": 1})}, io.StringIO())
 
 
 def test_count_fillers_matches_per_sentence_extraction():
