@@ -355,15 +355,11 @@ def test_sets_from_counts_groups_by_slot():
     assert sets[("v", "S")].total_count == 2
 
 
-def test_sets_from_counts_refuses_a_role_the_database_cannot_hold():
+def test_a_set_refuses_a_role_the_database_cannot_hold():
     # read_database accepts only the roles in ROLES, so a set under any other could be written but not read back
     with pytest.raises(ValueError, match="unknown role 'X' for verb 'v'"):
         lexical_sets_from_counts(Counter({("v", "S", "a"): 1, ("v", "X", "a"): 1}))
-
-
-def test_lexical_set_refuses_a_role_the_database_cannot_hold():
-    # a hand-built set reaches write_database without lexical_sets_from_counts
-    with pytest.raises(ValueError, match="unknown role 'X' for verb 'v'"):
+    with pytest.raises(ValueError, match="unknown role 'X' for verb 'v'"):  # a hand-built set for write_database
         write_database({("v", "X"): LexicalSet("v", "X", {"a": 1})}, io.StringIO())
 
 
