@@ -369,8 +369,10 @@ def analyze_lexical_sets(
             except EmptySetError:
                 reason = f"no covered fillers ({role})"
                 break
-            except DegenerateVectorError:
-                reason = f"degenerate centroid ({role})"
+            except DegenerateVectorError:  # a filler's vector or the centroid has zero norm
+                zero = [filler for filler in sorted(lex_set.counts)
+                        if (vector := store.lookup(filler)) is not None and vector @ vector == 0]
+                reason = f"zero vector for filler {zero[0]!r} ({role})" if zero else f"degenerate centroid ({role})"
                 break
         if reason is None:
             s_geom, o_geom = role_geoms[ROLE_S], role_geoms[ROLE_O]

@@ -79,7 +79,7 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(path, encoding="utf-8-sig") as stream:
             data = json.load(stream)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
@@ -111,9 +111,12 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _read_input(path: str, read):
-    """``read`` applied to the text of ``path``; malformed content raises an error naming the path."""
+    """``read`` applied to the text of ``path``; malformed content raises an error naming the path.
+
+    A UTF-8 byte-order mark at the start of the file is skipped.
+    """
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(path, encoding="utf-8-sig") as stream:
             return read(stream)
     except VectorFormatError as exc:
         raise VectorFormatError(exc.reason, exc.line_number, path) from None
@@ -135,11 +138,9 @@ def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
         raise InputError("\nerror: ".join(f"missing input file: {path}" for path in missing))
     inventory = _read_input(config.inventory_path, load_inventory)
     if config.reference_ranking_path:
-        reference = _read_input(config.reference_ranking_path, load_reference_ranking)
-        try:
-            inventory = VerbInventory(inventory.entries, reference)
-        except InputError as exc:
-            raise InputError(f"{config.reference_ranking_path}: {exc}") from None
+        entries = inventory.entries
+        inventory = _read_input(config.reference_ranking_path,
+                                lambda stream: VerbInventory(entries, load_reference_ranking(stream)))
     if config.vectors_path in paths:
         _read_input(config.vectors_path, _VectorReader(()).take_head)
     return inventory
@@ -195,10 +196,14 @@ class _ByteRange(io.RawIOBase):
 
 
 def _open_range(path: str, start: int, end: int) -> io.TextIOWrapper:
-    """Bytes ``[start, end)`` of ``path`` as text, split into lines as ``open(path, encoding="utf-8")`` splits them."""
+    """Bytes ``[start, end)`` of ``path`` as text, split into lines as ``open(path, encoding="utf-8")`` splits them.
+
+    A byte-order mark at the start of the file is skipped; a U+FEFF anywhere else is data, as in a serial read.
+    """
     file = open(path, "rb", buffering=0)
     file.seek(start)
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(file, end - start)), encoding="utf-8")
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(file, end - start)),
+                            encoding="utf-8-sig" if start == 0 else "utf-8")
 
 
 def _cut_ranges(path: str, offsets) -> list[tuple[int, int]]:

@@ -294,9 +294,7 @@ def extract_fillers(
         has_clitic = any(d.lemma.lower() == rules.clitic_lemma for d in deps)
         intransitive = not has_object or has_clitic
         for dep in deps:
-            if dep.deprel in rules.object_relations:
-                fillers.append((lemma, ROLE_O, dep.lemma.lower()))
-            elif dep.deprel in rules.passive_subject_relations:
+            if dep.deprel in rules.object_relations or dep.deprel in rules.passive_subject_relations:
                 fillers.append((lemma, ROLE_O, dep.lemma.lower()))
             elif dep.deprel in rules.subject_relations and intransitive:
                 fillers.append((lemma, ROLE_S, dep.lemma.lower()))
@@ -319,12 +317,11 @@ def count_fillers(
 
 def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict[tuple[str, str], LexicalSet]:
     """Group (verb, role, lemma) -> count entries into lexical sets; a role outside ``ROLES`` is a ValueError."""
-    sets: dict[tuple[str, str], LexicalSet] = {}
+    grouped: dict[tuple[str, str], dict[str, int]] = {}
     for (verb, role, lemma), count in counts.items():
-        if count < 1:
-            continue
-        sets.setdefault((verb, role), LexicalSet(verb, role, {})).counts[lemma] = count
-    return sets
+        if count >= 1:
+            grouped.setdefault((verb, role), {})[lemma] = count
+    return {key: LexicalSet(*key, fillers) for key, fillers in grouped.items()}
 
 
 def _sorted_sets(sets: Mapping[tuple[str, str], LexicalSet]) -> list[LexicalSet]:

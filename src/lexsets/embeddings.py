@@ -151,7 +151,6 @@ class _VectorReader:
                 self.dimension = declared_dim
                 self.declared = (declared_count, line_number)
                 return
-        self.data_rows += 1
         word, components = parts[0], parts[1:]
         if self.dimension is None:
             if not components:
@@ -162,23 +161,14 @@ class _VectorReader:
             raise VectorFormatError(
                 f"expected {dimension} components for {word!r}, got {len(components)}", line_number
             )
-        # Every row is parsed into the next free row of the matrix, which
-        # it keeps only if the word is new and wanted. The resizes below
-        # and in `take_block` skip numpy's reference check: the only
-        # views are `values` of earlier rows, never read after a resize.
-        held = len(self.rows)
-        if self.matrix is None:
-            self.matrix = np.empty((1024 if self.vocabulary is None else len(self.vocabulary) + 1, dimension))
-        elif held == len(self.matrix):
-            self.matrix.resize((2 * held, dimension), refcheck=False)
-        values = self.matrix[held]
+        values = np.empty((1, dimension))
         try:
-            values[:] = components
+            values[0] = components
         except ValueError:
             raise VectorFormatError(f"non-numeric vector component in {components!r}", line_number) from None
         if not np.isfinite(values).all():
             raise VectorFormatError("non-finite vector component", line_number)
-        self._count(word)
+        self._keep([word], values)
 
     def take_block(self, block: list[str]) -> bool:
         """Take a block of data lines through numpy's text reader, or return False and change nothing.
@@ -210,24 +200,29 @@ class _VectorReader:
             return False
         if values.shape != (len(rests), self.dimension) or not np.isfinite(values).all():
             return False
-        first = len(self.rows)
-        kept = [index for index, word in enumerate(words) if self._count(word)]
-        self.data_rows += len(words)
-        if len(self.rows) > len(self.matrix):
-            self.matrix.resize((max(2 * len(self.matrix), len(self.rows)), self.dimension), refcheck=False)
-        self.matrix[first: len(self.rows)] = values[kept]
+        self._keep(words, values)
         return True
 
-    def _count(self, word: str) -> bool:
-        """Record one data row's word; True when its row is held as the next row of the matrix."""
-        if word in self.rows or word in self.unheld:
-            self.duplicates += 1
-        elif self.vocabulary is None or word in self.vocabulary:
-            self.rows[word] = len(self.rows)
-            return True
-        else:
-            self.unheld.add(word)
-        return False
+    def _keep(self, words: list[str], values: np.ndarray) -> None:
+        """Count checked data rows, one per word, and hold those whose word is new and wanted as the next rows."""
+        self.data_rows += len(words)
+        kept = []
+        for index, word in enumerate(words):
+            if word in self.rows or word in self.unheld:
+                self.duplicates += 1
+            elif self.vocabulary is None or word in self.vocabulary:
+                self.rows[word] = len(self.rows)
+                kept.append(index)
+            else:
+                self.unheld.add(word)
+        held = len(self.rows)
+        # No view of the matrix outlives a call, so the resizes here and in
+        # `store` skip numpy's reference check.
+        if self.matrix is None:
+            self.matrix = np.empty((1024 if self.vocabulary is None else len(self.vocabulary), self.dimension))
+        if held > len(self.matrix):
+            self.matrix.resize((max(2 * len(self.matrix), held), self.dimension), refcheck=False)
+        self.matrix[held - len(kept): held] = values[kept]
 
     def store(self, metadata: str, line_count: int) -> EmbeddingStore:
         """The store of the rows held, after the last of ``line_count`` lines has been taken."""

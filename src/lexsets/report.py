@@ -260,12 +260,6 @@ def render_svg(spec: PlotSpec) -> str:
     return renderer(spec)
 
 
-def _round_cell(value):
-    if isinstance(value, float):
-        return round(value, _FLOAT_DECIMALS)
-    return value
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -274,24 +268,35 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _rounded(obj):
+    """``obj`` with every float in it, at any depth of dicts and lists, rounded to 6 decimals."""
+    if isinstance(obj, float):
+        return round(obj, _FLOAT_DECIMALS)
+    if isinstance(obj, dict):
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(value) for value in obj]
+    return obj
+
+
 def json_text(obj) -> str:
-    """``obj`` as the text of every JSON artifact: raw UTF-8, two-space indent, a final newline."""
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    """``obj`` as every JSON artifact's text: floats rounded to 6 decimals, raw UTF-8, indent 2, a final newline."""
+    return json.dumps(_rounded(obj), ensure_ascii=False, indent=2) + "\n"
 
 
 def _table(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, list[dict]]:
-    """CSV text of ``rows`` and the same rows with their floats rounded to 6 decimals."""
+    """CSV text of ``rows`` and the same rows cut to ``columns``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([_csv_cell(row.get(column)) for column in columns] for row in rows)
-    return buffer.getvalue(), [{column: _round_cell(row.get(column)) for column in columns} for row in rows]
+    return buffer.getvalue(), [{column: row.get(column) for column in columns} for row in rows]
 
 
 def emit_tables(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, str]:
     """Render rows as (CSV text, JSON text) with matching 6-decimal numbers."""
-    csv_text, rounded = _table(rows, columns)
-    return csv_text, json_text(rounded)
+    csv_text, cut = _table(rows, columns)
+    return csv_text, json_text(cut)
 
 
 GEOMETRY_COLUMNS = ["verb", "role", *COVERAGE_FIELDS, *(f.name for f in fields(BoxStats))]
@@ -315,7 +320,7 @@ def geometry_documents(result: AnalysisResult, *, verbose: bool = False) -> tupl
     if verbose:
         for row in rows:
             row["fillers"] = [
-                {"lemma": lemma, "distance": round(distance, _FLOAT_DECIMALS), "weight": weight}
+                {"lemma": lemma, "distance": distance, "weight": weight}
                 for lemma, distance, weight in result.geometries[(row["verb"], row["role"])].filler_distances
             ]
     return csv_text, json_text(rows)
@@ -325,19 +330,8 @@ def analysis_rows(result: AnalysisResult) -> list[dict]:
     return [dict(zip(ANALYSIS_COLUMNS, astuple(verb))) for verb in result.verbs]
 
 
-def _correlation_obj(correlation) -> dict | None:
-    if correlation is None:
-        return None
-    return {name: _round_cell(value) for name, value in correlation.as_dict().items()}
-
-
 def _split_obj(split: tuple[float, float] | None) -> dict | None:
-    if split is None:
-        return None
-    return {
-        "low_half_avg": round(split[0], _FLOAT_DECIMALS),
-        "high_half_avg": round(split[1], _FLOAT_DECIMALS),
-    }
+    return None if split is None else {"low_half_avg": split[0], "high_half_avg": split[1]}
 
 
 def analysis_documents(result: AnalysisResult) -> tuple[str, str]:
@@ -347,8 +341,8 @@ def analysis_documents(result: AnalysisResult) -> tuple[str, str]:
         "verbs": rows,
         "excluded": result.excluded,
         "correlations": {
-            "distance_vs_reference": _correlation_obj(result.distance_correlation),
-            "overlap_vs_reference": _correlation_obj(result.overlap_correlation),
+            "distance_vs_reference": result.distance_correlation and result.distance_correlation.as_dict(),
+            "overlap_vs_reference": result.overlap_correlation and result.overlap_correlation.as_dict(),
         },
         "split_half_medians": {
             ROLE_S: _split_obj(result.s_split_half),

@@ -561,6 +561,67 @@ def test_bad_vector_head_exits_two_before_any_work(workdir, command, head, error
     assert not (workdir / "out").exists()
 
 
+def test_reference_ranking_that_misses_an_inventory_lemma_exits_two_naming_its_file(workdir):
+    lemmas = [entry["lemma"] for entry in json.loads((workdir / "toy_inventory.json").read_text())]
+    (workdir / "reference.json").write_text(json.dumps([{"lemma": lemma, "rank": 1} for lemma in lemmas[1:]]))
+    set_config_field(workdir, "reference_ranking_path", "reference.json")
+    result = run_cli(workdir, "run", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: reference.json: reference ranking must cover exactly the inventory lemmas\n"
+    assert not (workdir / "out").exists()
+
+
+# --- byte-order marks ---------------------------------------------------------
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("workers,header", [(1, True), (2, True), (4, True), (1, False)],
+                         ids=["workers1", "workers2", "workers4", "headerless-vectors"])
+def test_byte_order_marks_on_every_input_are_skipped(workdir, workers, header):
+    if not header:
+        lines = (workdir / "toy_vectors.txt").read_bytes().splitlines(keepends=True)
+        (workdir / "toy_vectors.txt").write_bytes(b"".join(lines[1:]))
+    for name in FIXTURES:
+        (workdir / name).write_bytes(BOM + (workdir / name).read_bytes())
+    result = run_cli(workdir, "validate-config", "--config", "toy_config.json")
+    assert (result.returncode, result.stderr) == (0, "")
+    result = run_cli(workdir, "run", "--config", "toy_config.json", "--workers", str(workers))
+    assert result.returncode == 0, result.stderr
+    for name in OUTPUT_FILES:
+        assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_byte_order_mark_on_a_database_is_skipped(workdir):
+    (workdir / "out").mkdir()
+    (workdir / "out" / "toy_lexsets.json").write_bytes(BOM + (GOLDEN_DIR / "toy_lexsets.json").read_bytes())
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 0, result.stderr
+    assert read_out(workdir, "toy_analysis.json") == (GOLDEN_DIR / "toy_analysis.json").read_bytes()
+
+
+def test_byte_order_mark_is_skipped_only_at_the_start_of_a_file(tmp_path):
+    # a serial read keeps a U+FEFF after the first byte as data, so a shard that starts there keeps it too
+    path = tmp_path / "corpus.conllu"
+    path.write_bytes(BOM + b"a\n" + BOM + b"b\n")
+    with cli._open_range(str(path), 0, 10) as stream:
+        assert stream.read() == "a\n\ufeffb\n"
+    with cli._open_range(str(path), 5, 10) as stream:
+        assert stream.read() == "\ufeffb\n"
+
+
+def test_zero_vector_exclusion_names_the_filler(workdir):
+    vectors = (workdir / "toy_vectors.txt").read_text(encoding="utf-8").replace("porta 1.0 0.2", "porta 0 0")
+    (workdir / "toy_vectors.txt").write_text(vectors, encoding="utf-8")
+    result = run_cli(workdir, "run", "--config", "toy_config.json")
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads(read_out(workdir, "toy_analysis_manifest.json"))
+    reason = "zero vector for filler 'porta' (S)"
+    assert {"verb": "chiudere", "reason": reason} in manifest["verbs_excluded"]
+    assert {"verb": "aprire", "reason": reason} in manifest["verbs_excluded"]
+
+
 def test_run_with_a_missing_vector_file_extracts_nothing(workdir):
     set_config_field(workdir, "vectors_path", "gone.txt")
     result = run_cli(workdir, "run", "--config", "toy_config.json")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexsets.analysis import load_inventory
+from lexsets import corpus
 from lexsets.cli import _cut_ranges, _extract_shard, _merge_shards
 
 from lexsets.corpus import (
@@ -353,6 +354,22 @@ def test_sets_from_counts_groups_by_slot():
     assert sets[("v", "S")].counts == {"a": 2}
     assert sets[("v", "O")].counts == {"a": 1}
     assert sets[("v", "S")].total_count == 2
+
+
+def test_sets_from_counts_builds_each_set_once(monkeypatch):
+    built = []
+
+    class CountedSet(LexicalSet):
+        def __post_init__(self):
+            built.append((self.verb_lemma, self.role))
+            super().__post_init__()
+
+    monkeypatch.setattr(corpus, "LexicalSet", CountedSet)
+    counts = Counter({("v", "S", "a"): 2, ("w", "O", "a"): 1, ("v", "S", "b"): 1, ("v", "O", "c"): 3})
+    sets = lexical_sets_from_counts(counts)
+    assert built == [("v", "S"), ("w", "O"), ("v", "O")]
+    assert list(sets) == built
+    assert sets[("v", "S")].counts == {"a": 2, "b": 1}
 
 
 def test_a_set_refuses_a_role_the_database_cannot_hold():

@@ -16,6 +16,7 @@ from lexsets.report import (
     emit_tables,
     figure_specs,
     geometry_documents,
+    json_text,
     render_svg,
 )
 
@@ -172,6 +173,13 @@ def test_missing_cells_are_blank_in_csv():
     csv_text, json_text = emit_tables([{"a": 1}], ["a", "b"])
     assert csv_text.splitlines()[1] == "1,"
     assert json.loads(json_text)[0]["b"] is None
+
+
+def test_json_text_rounds_floats_at_any_depth():
+    document = {"a": 1 / 3, "rows": [{"b": [2 / 3, (0.1234564, "x")]}], "n": 7, "flag": True, "none": None}
+    assert json.loads(json_text(document)) == {
+        "a": 0.333333, "rows": [{"b": [0.666667, [0.123456, "x"]]}], "n": 7, "flag": True, "none": None,
+    }
 
 
 # --- report documents -------------------------------------------------------------
