@@ -374,15 +374,12 @@ def analyze_lexical_sets(
                         if (vector := store.lookup(filler)) is not None and vector @ vector == 0]
                 reason = f"zero vector for filler {zero[0]!r} ({role})" if zero else f"degenerate centroid ({role})"
                 break
-        if reason is None:
-            s_geom, o_geom = role_geoms[ROLE_S], role_geoms[ROLE_O]
-            try:
-                dist = centroid_distance(s_geom, o_geom)
-            except DegenerateVectorError:
-                reason = "degenerate centroid"
         if reason is not None:
             result.excluded.append({"verb": lemma, "reason": reason})
             continue
+        s_geom, o_geom = role_geoms[ROLE_S], role_geoms[ROLE_O]
+        # cannot raise: compute_set_geometry has rejected each centroid whose c·c is 0, as this call would
+        dist = centroid_distance(s_geom, o_geom)
         result.geometries[(lemma, ROLE_S)] = s_geom
         result.geometries[(lemma, ROLE_O)] = o_geom
         s_box = result.boxes[(lemma, ROLE_S)] = box_stats(s_geom)

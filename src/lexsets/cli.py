@@ -110,16 +110,18 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
-def _read_input(path: str, read):
-    """``read`` applied to the text of ``path``; malformed content raises an error naming the path.
+def _read_input(path: str, read, start: int = 0, end: int | None = None):
+    """``read`` applied to the text of bytes ``[start, end)`` of ``path`` (the whole file by default).
 
-    A UTF-8 byte-order mark at the start of the file is skipped.
+    Malformed content raises an error naming the path; a located error
+    gives its line in the whole file.
     """
     try:
-        with open(path, encoding="utf-8-sig") as stream:
+        with _open_range(path, start, os.path.getsize(path) if end is None else end) as stream:
             return read(stream)
-    except VectorFormatError as exc:
-        raise VectorFormatError(exc.reason, exc.line_number, path) from None
+    except (ConllParseError, VectorFormatError) as exc:
+        line_number = None if exc.line_number is None else exc.line_number + _lines_before(path, start)
+        raise type(exc)(exc.reason, line_number, path) from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     except (InputError, ValueError) as exc:  # bad JSON or entries
@@ -178,6 +180,7 @@ class _ByteRange(io.RawIOBase):
     def __init__(self, file, size: int):
         super().__init__()
         self._file = file
+        self.name = file.name  # what ``open(path).name`` gives
         self._left = size
 
     def readable(self) -> bool:
@@ -248,21 +251,18 @@ def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rul
     so summing the results of a file's ranges equals one serial pass.
     A parse error names the file and its line in the whole file.
     """
-    stats = ParseStats()
-    counts: Counter = Counter()
-    filtered = 0
-    try:
-        with _open_range(path, start, end) as stream:
-            for sentence in parse_conll(stream, strict=strict, stats=stats):
-                if not passes_length_filter(sentence, rules):
-                    filtered += 1
-                    continue
-                counts.update(count_fillers([sentence], targets, rules))
-    except ConllParseError as exc:
-        raise ConllParseError(exc.reason, exc.line_number + _lines_before(path, start), path) from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
-    return counts, stats, filtered
+    def count(stream) -> tuple[Counter, ParseStats, int]:
+        stats = ParseStats()
+        counts: Counter = Counter()
+        filtered = 0
+        for sentence in parse_conll(stream, strict=strict, stats=stats):
+            if not passes_length_filter(sentence, rules):
+                filtered += 1
+                continue
+            counts.update(count_fillers([sentence], targets, rules))
+        return counts, stats, filtered
+
+    return _read_input(path, count, start, end)
 
 
 def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats, int]:

@@ -21,8 +21,7 @@ class EmbeddingStore:
     view of it. Safe for concurrent reads.
     """
 
-    def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray], metadata: str = "",
-                 duplicates_ignored: int = 0):
+    def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray]):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         matrix = np.empty((len(vectors), dimension), dtype=np.float64)
@@ -32,7 +31,7 @@ class EmbeddingStore:
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dimension},)")
             matrix[row] = arr
         rows = {word: row for row, word in enumerate(vectors)}
-        self._hold(matrix, rows, metadata, duplicates_ignored, len(vectors))
+        self._hold(matrix, rows, "", 0, len(vectors))
 
     @classmethod
     def _of_rows(cls, matrix: np.ndarray, rows: dict[str, int], metadata: str, duplicates_ignored: int,

@@ -76,50 +76,28 @@ class _Canvas:
             f'viewBox="0 0 {self.width} {self.height}">'
         )
         self.parts.append(f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>')
-        self.parts.append(
-            f'<text x="{_fmt(self.width / 2)}" y="22" font-size="15" text-anchor="middle" '
-            f'font-family="sans-serif">{_escape(spec.title)}</text>'
-        )
+        self.parts.append(_text((_fmt(self.width / 2), 22), 15, spec.title))
 
         self.low = min(0.0, low)
         top = self.low + (high - self.low) * 1.05
         self.span = top - self.low if top > self.low else 1.0
         for tick in _ticks(self.low, self.low + self.span):
             y = self.y_of(tick)
-            self.parts.append(
-                f'<line x1="{self.margin_left - 4}" y1="{_fmt(y)}" x2="{self.margin_left}" '
-                f'y2="{_fmt(y)}" stroke="#333333" stroke-width="1"/>'
-            )
-            self.parts.append(
-                f'<text x="{self.margin_left - 8}" y="{_fmt(y + 4)}" font-size="10" '
-                f'text-anchor="end" font-family="sans-serif">{tick:g}</text>'
-            )
+            self.parts.append(_line(self.margin_left - 4, _fmt(y), self.margin_left, _fmt(y)))
+            self.parts.append(_text((self.margin_left - 8, _fmt(y + 4)), 10, f"{tick:g}", anchor="end"))
 
         x0, y0 = self.margin_left, self.margin_top
         x1, y1 = self.margin_left + self.plot_w, self.margin_top + self.plot_h
-        self.parts.append(
-            f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="#333333" stroke-width="1"/>'
-        )
-        self.parts.append(
-            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333" stroke-width="1"/>'
-        )
+        self.parts.append(_line(x0, y1, x1, y1))
+        self.parts.append(_line(x0, y0, x0, y1))
         if spec.x_label:
-            self.parts.append(
-                f'<text x="{_fmt((x0 + x1) / 2)}" y="{self.height - 8}" font-size="12" '
-                f'text-anchor="middle" font-family="sans-serif">{_escape(spec.x_label)}</text>'
-            )
+            self.parts.append(_text((_fmt((x0 + x1) / 2), self.height - 8), 12, spec.x_label))
         if spec.y_label:
-            self.parts.append(
-                f'<text transform="translate(14,{_fmt((y0 + y1) / 2)}) rotate(-90)" font-size="12" '
-                f'text-anchor="middle" font-family="sans-serif">{_escape(spec.y_label)}</text>'
-            )
+            self.parts.append(_text(f"translate(14,{_fmt((y0 + y1) / 2)}) rotate(-90)", 12, spec.y_label))
 
         self.centers = [self.margin_left + (i + 0.5) / len(labels) * self.plot_w for i in range(len(labels))]
         for cx, label in zip(self.centers, labels):
-            self.parts.append(
-                f'<text x="{_fmt(cx)}" y="{y1 + 16}" font-size="10" '
-                f'text-anchor="middle" font-family="sans-serif">{_escape(label)}</text>'
-            )
+            self.parts.append(_text((_fmt(cx), y1 + 16), 10, label))
 
     def y_of(self, value: float) -> float:
         return self.margin_top + (1.0 - (value - self.low) / self.span) * self.plot_h
@@ -131,6 +109,18 @@ class _Canvas:
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#333333", width: int = 1) -> str:
+    """A ``<line>`` element; coordinates are ints or ``_fmt`` strings, written as given."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(position, size: int, body: str, anchor: str | None = "middle") -> str:
+    """A ``<text>`` element of the escaped ``body`` at an ``(x, y)`` pair, or placed by a ``transform`` string."""
+    place = f'transform="{position}"' if isinstance(position, str) else f'x="{position[0]}" y="{position[1]}"'
+    anchored = "" if anchor is None else f' text-anchor="{anchor}"'
+    return f'<text {place} font-size="{size}"{anchored} font-family="sans-serif">{_escape(body)}</text>'
 
 
 def _render_box_panel(spec: PlotSpec) -> str:
@@ -149,34 +139,19 @@ def _render_box_panel(spec: PlotSpec) -> str:
     for (label, stats), cx in zip(boxes, canvas.centers):
         top, bottom = y_of(stats.q3), y_of(stats.q1)
         group = [f'<g class="box" data-label="{_escape(label)}">']
-        group.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(y_of(stats.whisker_high))}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(top)}" stroke="#333333" stroke-width="1"/>'
-        )
-        group.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(bottom)}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(y_of(stats.whisker_low))}" stroke="#333333" stroke-width="1"/>'
-        )
+        group.append(_line(_fmt(cx), _fmt(y_of(stats.whisker_high)), _fmt(cx), _fmt(top)))
+        group.append(_line(_fmt(cx), _fmt(bottom), _fmt(cx), _fmt(y_of(stats.whisker_low))))
         for whisker in (stats.whisker_high, stats.whisker_low):
-            group.append(
-                f'<line x1="{_fmt(cx - half_width / 2)}" y1="{_fmt(y_of(whisker))}" '
-                f'x2="{_fmt(cx + half_width / 2)}" y2="{_fmt(y_of(whisker))}" '
-                f'stroke="#333333" stroke-width="1"/>'
-            )
+            y = _fmt(y_of(whisker))
+            group.append(_line(_fmt(cx - half_width / 2), y, _fmt(cx + half_width / 2), y))
         group.append(
             f'<rect x="{_fmt(cx - half_width)}" y="{_fmt(top)}" width="{_fmt(2 * half_width)}" '
             f'height="{_fmt(max(bottom - top, 0.5))}" fill="#9ecae1" stroke="#333333" stroke-width="1"/>'
         )
-        group.append(
-            f'<line x1="{_fmt(cx - half_width)}" y1="{_fmt(y_of(stats.median))}" '
-            f'x2="{_fmt(cx + half_width)}" y2="{_fmt(y_of(stats.median))}" '
-            f'stroke="#d62728" stroke-width="2"/>'
-        )
+        median = _fmt(y_of(stats.median))
+        group.append(_line(_fmt(cx - half_width), median, _fmt(cx + half_width), median, stroke="#d62728", width=2))
         if stats.outlier_count:
-            group.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(y_of(stats.whisker_high) - 6)}" font-size="9" '
-                f'text-anchor="middle" font-family="sans-serif">{stats.outlier_count} outl.</text>'
-            )
+            group.append(_text((_fmt(cx), _fmt(y_of(stats.whisker_high) - 6)), 9, f"{stats.outlier_count} outl."))
         group.append("</g>")
         canvas.parts.append("".join(group))
     return canvas.finish()
@@ -235,8 +210,7 @@ def _render_ranking_comparison(spec: PlotSpec) -> str:
             _marker_element(index, canvas.margin_left + canvas.plot_w - 110, legend_y, color)
         )
         canvas.parts.append(
-            f'<text x="{_fmt(canvas.margin_left + canvas.plot_w - 100)}" y="{_fmt(legend_y + 4)}" '
-            f'font-size="10" font-family="sans-serif">{_escape(name)}</text>'
+            _text((_fmt(canvas.margin_left + canvas.plot_w - 100), _fmt(legend_y + 4)), 10, name, anchor=None)
         )
     return canvas.finish()
 

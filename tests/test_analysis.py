@@ -531,18 +531,19 @@ def test_analyze_empty_when_everything_excluded():
 
 
 def test_analyze_excludes_degenerate_centroids():
-    # two opposite vectors with equal weight cancel to a zero centroid
-    sets, store, inventory = small_world()
-    store = store_from_text("p1 1.0 0.5\np2 -1.0 -0.5\nq1 0.1 1.0\n")
+    sets, _, inventory = small_world()
     sets[("v1", "S")] = LexicalSet("v1", "S", {"p1": 1, "p2": 1})
     sets[("v1", "O")] = LexicalSet("v1", "O", {"q1": 1})
     sets[("v2", "S")] = LexicalSet("v2", "S", {"p1": 1})
     sets[("v2", "O")] = LexicalSet("v2", "O", {"q1": 1})
     sets[("v3", "S")] = LexicalSet("v3", "S", {"p2": 1})
     sets[("v3", "O")] = LexicalSet("v3", "O", {"q1": 1})
-    result = analyze_lexical_sets(sets, store, inventory)
-    assert {"verb": "v1", "reason": "degenerate centroid (S)"} in result.excluded
-    assert [v.lemma for v in result.verbs] == ["v2", "v3"]
+    # opposite vectors of equal weight cancel to a zero centroid; the
+    # second pair leaves (0, 1e-170), whose squared norm underflows to 0
+    for vectors in ("p1 1.0 0.5\np2 -1.0 -0.5\n", "p1 1.0 2e-170\np2 -1.0 0.0\n"):
+        result = analyze_lexical_sets(sets, store_from_text(vectors + "q1 0.1 1.0\n"), inventory)
+        assert {"verb": "v1", "reason": "degenerate centroid (S)"} in result.excluded
+        assert [v.lemma for v in result.verbs] == ["v2", "v3"]
 
 
 def test_analyze_counts_distances_above_one():
