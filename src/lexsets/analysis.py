@@ -278,16 +278,51 @@ def spearman(x: Mapping[Hashable, float], y: Mapping[Hashable, float]) -> Correl
 
 
 def t_approximation_pvalue(rho: float, n: int) -> float:
-    """Two-sided p for rho via t = rho * sqrt((n-2) / (1-rho^2)), df = n-2."""
+    """Two-sided p for rho via t = rho * sqrt((n-2) / (1-rho^2)), df = n-2.
+
+    With tan(theta) = t / sqrt(df), sin(theta) = |rho| and cos(theta)^2 =
+    1 - rho^2, so no t value or special function is needed. Abramowitz &
+    Stegun 26.7.4 (even df) and 26.7.3 (odd df) give p = 1 - A with
+    A = sin(theta) * S or A = (2/pi) * (theta + sin(theta) cos(theta) * S),
+    where S sums the first df // 2 terms c_k cos(theta)^(2k), c_0 = 1 and
+    c_k = c_{k-1} * (2k - 1 + df % 2) / (2k + df % 2). Summed to infinity
+    the series gives A = 1, so where 1 - A < 0.01 the p is instead the
+    same prefactor times the terms from k = df // 2 on, which do not
+    cancel.
+    """
     if n < 3:
         raise InputError(f"t approximation needs n >= 3, got {n}")
-    if abs(rho) >= 1.0:
+    if math.isnan(rho):
+        raise InputError("t approximation needs a rho that is a number, got nan")
+    sin = abs(rho)
+    if sin >= 1.0:
         return 0.0
-    from scipy import special  # imported here so that extract never loads scipy
+    cos2 = (1.0 - sin) * (1.0 + sin)
+    dof = n - 2
+    odd = dof % 2
 
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(special.stdtr(n - 2, -abs(t)))
-    return min(1.0, p)
+    def step(term: float, k: int) -> float:
+        return term * cos2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+
+    head, term = 0.0, 1.0
+    for k in range(dof // 2):
+        head += term
+        term = step(term, k)
+    if odd:
+        cos = math.sqrt(cos2)
+        scale = 2.0 / math.pi * sin * cos
+        p = 1.0 - (2.0 / math.pi * math.atan2(sin, cos) + scale * head)
+    else:
+        scale = sin
+        p = 1.0 - scale * head
+    if p >= 0.01:
+        return p
+    tail, k = 0.0, dof // 2
+    while term > 1e-17 * tail:
+        tail += term
+        term = step(term, k)
+        k += 1
+    return scale * tail
 
 
 def split_half_median_average(medians: Sequence[float]) -> tuple[float, float]:

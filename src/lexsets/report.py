@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import astuple, dataclass, fields
+from numbers import Real
 from typing import Mapping, Sequence
 
 from .analysis import AnalysisResult, VerbResult
@@ -125,7 +126,8 @@ def _text(position, size: int, body: str, anchor: str | None = "middle") -> str:
 
 def _render_box_panel(spec: PlotSpec) -> str:
     for item in spec.series:
-        if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], BoxStats)):
+        if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+                and isinstance(item[1], BoxStats)):
             raise PlotSpecError("box_whisker_panel series items must be (label, BoxStats)")
     boxes: list[tuple[str, BoxStats]] = spec.series
     canvas = _Canvas(
@@ -161,6 +163,8 @@ def _render_median_by_rank(spec: PlotSpec) -> str:
     for item in spec.series:
         if not (isinstance(item, tuple) and len(item) == 3):
             raise PlotSpecError("median_by_rank series items must be (label, rank, median)")
+        if not (isinstance(item[0], str) and isinstance(item[1], Real) and isinstance(item[2], Real)):
+            raise PlotSpecError(f"median_by_rank items need a text label and numeric rank and median, got {item!r}")
     points = sorted(spec.series, key=lambda item: item[1])
     values = [v for _, _, v in points]
     canvas = _Canvas(spec, [label for label, _, _ in points], min(values), max(values))
@@ -190,8 +194,13 @@ def _marker_element(shape_index: int, x: float, y: float, color: str) -> str:
 def _render_ranking_comparison(spec: PlotSpec) -> str:
     label_sets = []
     for item in spec.series:
-        if not (isinstance(item, tuple) and len(item) == 2 and item[1]):
+        if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+                and isinstance(item[1], (list, tuple)) and item[1]):
             raise PlotSpecError("ranking_comparison series items must be (name, [(label, rank), ...])")
+        for point in item[1]:
+            if not (isinstance(point, tuple) and len(point) == 2 and isinstance(point[0], str)
+                    and isinstance(point[1], Real)):
+                raise PlotSpecError(f"ranking_comparison points must be (label, number) pairs, got {point!r}")
         label_sets.append({label for label, _ in item[1]})
     if any(labels != label_sets[0] for labels in label_sets[1:]):
         raise PlotSpecError("ranking_comparison series must cover the same labels")

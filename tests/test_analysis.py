@@ -8,6 +8,8 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from lexsets.analysis import (
@@ -362,6 +364,46 @@ def test_reported_rho_of_overlap_variant_is_not_significant():
 def test_extreme_rho_gives_zero_p():
     assert t_approximation_pvalue(1.0, 20) == 0.0
     assert t_approximation_pvalue(-1.0, 20) == 0.0
+
+
+def regularized_beta_two_sided_p(rho, dof):
+    """Two-sided t tail as I_x(dof/2, 1/2) with x = 1 - rho^2, at 40 digits."""
+    with mpmath.workdps(40):
+        magnitude = abs(mpmath.mpf(rho))
+        x = (1 - magnitude) * (1 + magnitude)
+        return mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+
+
+RHO_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 12.0).map(lambda digits: 1.0 - 10.0**-digits),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dof=st.integers(1, 1000), magnitude=RHO_MAGNITUDES, negative=st.booleans())
+@example(dof=1, magnitude=0.0, negative=False)
+@example(dof=2, magnitude=0.0, negative=True)
+@example(dof=999, magnitude=1.0 - 1e-12, negative=True)
+@example(dof=1000, magnitude=1.0 - 1e-12, negative=False)
+@example(dof=18, magnitude=0.56391, negative=False)
+@example(dof=1000, magnitude=0.0815, negative=False)
+def test_t_tail_matches_the_regularized_incomplete_beta(dof, magnitude, negative):
+    rho = -magnitude if negative else magnitude
+    p = t_approximation_pvalue(rho, dof + 2)
+    if rho == 0.0:
+        assert p == 1.0
+    expected = regularized_beta_two_sided_p(rho, dof)
+    error = abs(mpmath.mpf(p) - expected)
+    assert error <= 1e-13
+    if expected >= 1e-12:
+        assert error <= 1e-11 * expected
+
+
+def test_t_tail_rejects_a_nan_rho():
+    with pytest.raises(InputError, match="nan"):
+        t_approximation_pvalue(math.nan, 20)
 
 
 # --- inventory -----------------------------------------------------------------

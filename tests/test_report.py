@@ -125,9 +125,47 @@ def test_axis_labels_present():
             PlotSpec(kind="box_whisker_panel", title="t", series=[("a", None)], width=0),
             "plot dimensions must be positive",
         ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("S", 1, 0.5), ("O", "x", 0.3)]),
+            r"median_by_rank items need a text label and numeric rank and median, got \('O', 'x', 0\.3\)",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("S", 1, "0.5")]),
+            "median_by_rank items need a text label and numeric rank and median",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[(7, 1, 0.5)]),
+            "median_by_rank items need a text label and numeric rank and median",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("a", (1.0, 2.0))]),
+            r"ranking_comparison points must be \(label, number\) pairs, got 1\.0",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("r", [("a", 1), ("b", "2")])]),
+            r"ranking_comparison points must be \(label, number\) pairs, got \('b', '2'\)",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("r", [("a", 1, 2)])]),
+            r"ranking_comparison points must be \(label, number\) pairs",
+        ),
+        (
+            PlotSpec(kind="box_whisker_panel", title="t", series=[(0.5, sample_box())]),
+            r"box_whisker_panel series items must be \(label, BoxStats\)",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[(1, [("a", 1)])]),
+            r"ranking_comparison series items must be \(name, \[\(label, rank\), \.\.\.\]\)",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("r", 5)]),
+            r"ranking_comparison series items must be \(name, \[\(label, rank\), \.\.\.\]\)",
+        ),
     ],
     ids=["unknown-kind", "unknown-kind-zero-width", "empty-series", "box-item", "median-item",
-         "ranking-item", "ranking-labels", "zero-width"],
+         "ranking-item", "ranking-labels", "zero-width", "median-rank-text", "median-value-text",
+         "median-label-number", "ranking-point-number", "ranking-rank-text", "ranking-point-triple",
+         "box-label-number", "ranking-name-number", "ranking-points-number"],
 )
 def test_invalid_specs_rejected(spec, message):
     with pytest.raises(PlotSpecError, match=message):
