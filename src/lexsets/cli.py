@@ -60,12 +60,15 @@ class RunConfig:
             raise ConfigError(f"corpus_paths must be a list of file paths, got {self.corpus_paths!r}")
         if not self.corpus_paths:
             raise ConfigError("corpus_paths must list at least one file")
+        repeated = [path for path, times in Counter(self.corpus_paths).items() if times > 1]
+        if repeated:  # its counts would be summed twice
+            raise ConfigError(f"corpus_paths lists {repeated[0]!r} more than once")
         for name in ("vectors_path", "inventory_path", "output_prefix"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a file path, got {getattr(self, name)!r}")
             if not getattr(self, name):
                 raise ConfigError(f"{name} is required")
-        if not isinstance(self.reference_ranking_path, (str, type(None))):
+        if self.reference_ranking_path == "" or not isinstance(self.reference_ranking_path, (str, type(None))):
             raise ConfigError(f"reference_ranking_path must be a file path or null,"
                               f" got {self.reference_ranking_path!r}")
         for name in ("strict_parsing", "verbose_geometry"):
@@ -241,45 +244,42 @@ def _lines_before(path: str, offset: int) -> int:
 
 
 def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rules: ExtractionRules,
-                   strict: bool) -> tuple[Counter, ParseStats, int]:
+                   strict: bool) -> tuple[Counter, ParseStats]:
     """Parse bytes ``[start, end)`` of one corpus file and count the fillers of its sentences.
 
-    Returns the filler counts, the parse statistics and the number of
+    Returns the filler counts and the parse statistics, which count the
     sentences dropped by the length filter; every other parsed sentence
     is processed.
     The range must start and end at cuts made by :func:`_cut_ranges`,
     so summing the results of a file's ranges equals one serial pass.
     A parse error names the file and its line in the whole file.
     """
-    def count(stream) -> tuple[Counter, ParseStats, int]:
+    def count(stream) -> tuple[Counter, ParseStats]:
         stats = ParseStats()
         counts: Counter = Counter()
-        filtered = 0
         for sentence in parse_conll(stream, strict=strict, stats=stats):
             if not passes_length_filter(sentence, rules):
-                filtered += 1
+                stats.sentences_filtered_by_length += 1
                 continue
             counts.update(count_fillers([sentence], targets, rules))
-        return counts, stats, filtered
+        return counts, stats
 
     return _read_input(path, count, start, end)
 
 
-def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats, int]:
+def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats]:
     """Sum the shard results in shard order, naming the corpus file of a shard whose worker died."""
     counts: Counter = Counter()
     stats = ParseStats()
-    filtered = 0
     results = iter(results)
     for path, _, _ in shards:
         try:
-            shard_counts, shard_stats, shard_filtered = next(results)
+            shard_counts, shard_stats = next(results)
         except BrokenProcessPool as exc:
             raise InputError(f"{path}: a worker process stopped before its shard was done ({exc})") from None
         counts.update(shard_counts)
         stats.update(shard_stats)
-        filtered += shard_filtered
-    return counts, stats, filtered
+    return counts, stats
 
 
 def _run_extraction(config: RunConfig, targets: frozenset[str]):
@@ -292,18 +292,17 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     ]
     arguments = (*zip(*shards), repeat(targets), repeat(config.rules), repeat(config.strict_parsing))
     if workers == 1:
-        counts, stats, filtered = _merge_shards(shards, map(_extract_shard, *arguments))
+        counts, stats = _merge_shards(shards, map(_extract_shard, *arguments))
     else:
         # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         with ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
-            counts, stats, filtered = _merge_shards(shards, pool.map(_extract_shard, *arguments))
+            counts, stats = _merge_shards(shards, pool.map(_extract_shard, *arguments))
 
     manifest = {
         "corpus_files": list(config.corpus_paths),
         **stats.as_dict(),
-        "sentences_filtered_by_length": filtered,
-        "sentences_processed": stats.sentences_parsed - filtered,
+        "sentences_processed": stats.sentences_parsed - stats.sentences_filtered_by_length,
         "filler_records": int(sum(counts.values())),
         "target_verbs": sorted(targets),
         "rules": config.rules.to_dict(),
@@ -330,6 +329,8 @@ def cmd_run(config: RunConfig) -> int:
 def _extract(config: RunConfig, inventory: VerbInventory) -> int:
     targets = frozenset(inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
+    # removed before any output is replaced and written last: a prefix without its manifest holds an unfinished stage
+    _prefix_path(config, "manifest.json").unlink(missing_ok=True)
     with _atomic_output(_prefix_path(config, "lexsets.json")) as stream:
         write_database(sets, stream)
     with _atomic_output(_prefix_path(config, "lexsets.tsv")) as stream:
@@ -344,13 +345,13 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) ->
     sets = _read_input(database_path, read_database)
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     # a lambda looks up load_text_vectors when it runs, so a wrapper set on this module sees the call
-    store = _read_input(config.vectors_path,
-                        lambda stream: load_text_vectors(stream, metadata=config.vectors_path, vocabulary=fillers))
+    store = _read_input(config.vectors_path, lambda stream: load_text_vectors(stream, vocabulary=fillers))
 
     result = analyze_lexical_sets(sets, store, inventory)
 
     geometry_csv, geometry_json = report.geometry_documents(result, verbose=config.verbose_geometry)
     analysis_csv, analysis_json = report.analysis_documents(result)
+    _prefix_path(config, "analysis_manifest.json").unlink(missing_ok=True)  # as in _extract
     _write_text(_prefix_path(config, "geometry.csv"), geometry_csv)
     _write_text(_prefix_path(config, "geometry.json"), geometry_json)
     _write_text(_prefix_path(config, "analysis.csv"), analysis_csv)
@@ -360,7 +361,7 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) ->
 
     manifest = {
         "database": database_path,
-        "vectors": store.stats(),
+        "vectors": {**store.stats(), "metadata": config.vectors_path},
         "verbs_included": [v.lemma for v in result.verbs],
         "verbs_excluded": result.excluded,
         "coverage": {

@@ -124,6 +124,7 @@ class ParseStats:
     malformed_lines: int = 0
     comment_lines: int = 0
     range_lines_skipped: int = 0
+    sentences_filtered_by_length: int = 0  # counted by the caller that filters; parse_conll leaves it 0
 
     def as_dict(self) -> dict:
         return asdict(self)

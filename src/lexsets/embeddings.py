@@ -30,26 +30,18 @@ class EmbeddingStore:
             if arr.shape != (dimension,):
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dimension},)")
             matrix[row] = arr
-        rows = {word: row for row, word in enumerate(vectors)}
-        self._hold(matrix, rows, "", 0, len(vectors))
+        self._hold(matrix, {word: row for row, word in enumerate(vectors)}, 0, len(vectors))
 
-    @classmethod
-    def _of_rows(cls, matrix: np.ndarray, rows: dict[str, int], metadata: str, duplicates_ignored: int,
-                 entries: int) -> "EmbeddingStore":
-        """A store over ``matrix`` itself, without copying it."""
-        store = cls.__new__(cls)
-        store._hold(matrix, rows, metadata, duplicates_ignored, entries)
-        return store
-
-    def _hold(self, matrix: np.ndarray, rows: dict[str, int], metadata: str, duplicates_ignored: int,
-              entries: int) -> None:
+    def _hold(self, matrix: np.ndarray, rows: dict[str, int], duplicates_ignored: int,
+              entries: int) -> "EmbeddingStore":
+        """Hold ``matrix`` itself as this store's rows, without copying it; return the store."""
         matrix.flags.writeable = False
         self.matrix = matrix
         self.dimension = matrix.shape[1]
-        self.metadata = metadata
         self.duplicates_ignored = duplicates_ignored
         self._rows = rows
         self._entries = entries
+        return self
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -75,12 +67,10 @@ class EmbeddingStore:
             "dimension": self.dimension,
             "entries": self._entries,
             "duplicates_ignored": self.duplicates_ignored,
-            "metadata": self.metadata,
         }
 
 
-def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
-                      vocabulary: Collection[str] | None = None) -> EmbeddingStore:
+def load_text_vectors(stream: Iterable[str], *, vocabulary: Collection[str] | None = None) -> EmbeddingStore:
     """Load the conventional text vector format.
 
     An optional first line ``count dimension`` declares the shape, and
@@ -107,7 +97,7 @@ def load_text_vectors(stream: Iterable[str], *, metadata: str = "",
             for offset, raw_line in enumerate(block, start=1):
                 reader.take_line(raw_line, line_number + offset)
         line_number += len(block)
-    return reader.store(metadata, line_number)
+    return reader.store(line_number)
 
 
 class _VectorReader:
@@ -223,7 +213,7 @@ class _VectorReader:
             self.matrix.resize((max(2 * len(self.matrix), held), self.dimension), refcheck=False)
         self.matrix[held - len(kept): held] = values[kept]
 
-    def store(self, metadata: str, line_count: int) -> EmbeddingStore:
+    def store(self, line_count: int) -> EmbeddingStore:
         """The store of the rows held, after the last of ``line_count`` lines has been taken."""
         if self.dimension is None:
             raise VectorFormatError("empty vector stream", line_count or None)
@@ -236,8 +226,8 @@ class _VectorReader:
             matrix = np.empty((0, self.dimension))
         else:
             matrix.resize((len(self.rows), self.dimension), refcheck=False)
-        return EmbeddingStore._of_rows(matrix, self.rows, metadata, self.duplicates,
-                                       len(self.rows) + len(self.unheld))
+        return EmbeddingStore.__new__(EmbeddingStore)._hold(matrix, self.rows, self.duplicates,
+                                                            len(self.rows) + len(self.unheld))
 
 
 def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:

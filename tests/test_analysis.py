@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from lexsets import report
 from lexsets.analysis import (
     CorrelationResult,
     InventoryEntry,
@@ -562,6 +563,24 @@ def test_analyze_excludes_oov_only_sets():
     assert [v.reference_rank for v in result.verbs] == [1.0, 2.0]
     assert result.distance_correlation is None
     assert any("fewer than 3" in note for note in result.notes)
+
+
+def test_constant_ranks_leave_both_correlations_undefined():
+    # each verb's S and O sets are equal, so every centroid distance is 0 and every overlap 1
+    store = store_from_text("p1 1.0 0.0\np2 0.0 1.0\np3 0.6 0.8\n")
+    sets = {}
+    for i, verb in enumerate(["v1", "v2", "v3"], start=1):
+        for role in ("S", "O"):
+            sets[(verb, role)] = LexicalSet(verb, role, {"p1": i, "p2": 1, "p3": 2})
+    result = analyze_lexical_sets(sets, store, make_inventory(3))
+    assert [v.lemma for v in result.verbs] == ["v1", "v2", "v3"]
+    assert result.notes == [
+        "distance correlation undefined (constant ranks)",
+        "overlap correlation undefined (constant ranks)",
+    ]
+    document = json.loads(report.analysis_documents(result)[1])
+    assert document["correlations"] == {"distance_vs_reference": None, "overlap_vs_reference": None}
+    assert document["notes"] == result.notes
 
 
 def test_analyze_empty_when_everything_excluded():

@@ -755,6 +755,23 @@ def test_string_corpus_paths_exits_one_before_any_work(workdir, command):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "name,value,named",
+    [
+        ("reference_ranking_path", "", "reference_ranking_path must be a file path or null, got ''"),
+        ("corpus_paths", ["toy.conllu", "toy.conllu"], "corpus_paths lists 'toy.conllu' more than once"),
+    ],
+    ids=["empty-reference", "repeated-corpus"],
+)
+def test_empty_reference_or_repeated_corpus_exits_one_before_any_work(workdir, command, name, value, named):
+    set_config_field(workdir, name, value)
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 1
+    assert result.stderr == f"error: {named}\n"
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["vectors_path", "inventory_path", "output_prefix", "reference_ranking_path"])
 def test_non_string_path_field_exits_one(workdir, name):
     set_config_field(workdir, name, 5)
@@ -805,6 +822,31 @@ def test_empty_output_prefix_override_is_a_usage_error(workdir):
     assert not (workdir / "out").exists()
 
 
+def test_a_failed_extract_removes_the_old_manifest(workdir):
+    # the database is replaced before the TSV rename fails, so the old manifest no longer describes it
+    assert run_cli(workdir, "run", "--config", "toy_config.json").returncode == 0
+    (workdir / "out" / "toy_lexsets.tsv").unlink()
+    (workdir / "out" / "toy_lexsets.tsv").mkdir()
+    set_config_field(workdir, "rules", {"max_sentence_length": 6})
+    result = run_cli(workdir, "extract", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert "toy_lexsets.tsv" in result.stderr
+    database = json.loads(read_out(workdir, "toy_lexsets.json"))
+    assert sum(filler["count"] for entry in database for filler in entry["fillers"]) == 24
+    assert not (workdir / "out" / "toy_manifest.json").exists()
+
+
+def test_a_failed_analyze_removes_the_old_analysis_manifest(workdir):
+    assert run_cli(workdir, "run", "--config", "toy_config.json").returncode == 0
+    (workdir / "out" / "toy_fig3.svg").unlink()
+    (workdir / "out" / "toy_fig3.svg").mkdir()
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert "toy_fig3.svg" in result.stderr
+    assert not (workdir / "out" / "toy_analysis_manifest.json").exists()
+    assert read_out(workdir, "toy_manifest.json") == (GOLDEN_DIR / "toy_manifest.json").read_bytes()
+
+
 def test_analysis_manifest_reports_large_distances(workdir):
     result = run_cli(workdir, "run", "--config", "toy_config.json")
     assert result.returncode == 0, result.stderr
@@ -848,6 +890,8 @@ def test_load_config_defaults(workdir):
         ("inventory_path", ["toy_inventory.json"]),
         ("output_prefix", None),
         ("reference_ranking_path", 5),
+        ("reference_ranking_path", ""),
+        ("corpus_paths", ["toy.conllu", "toy.conllu"]),
     ],
 )
 def test_load_config_rejects_mistyped_values(workdir, name, value):

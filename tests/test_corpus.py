@@ -464,14 +464,13 @@ def corpus_bytes(draw):
 def _serial_pass(path, strict):
     stats = ParseStats()
     counts = Counter()
-    filtered = 0
     with open(path, encoding="utf-8") as stream:
         for sentence in parse_conll(stream, strict=strict, stats=stats):
             if not passes_length_filter(sentence, SHARD_RULES):
-                filtered += 1
+                stats.sentences_filtered_by_length += 1
                 continue
             counts.update(count_fillers([sentence], SHARD_TARGETS, SHARD_RULES))
-    return counts, stats, filtered
+    return counts, stats
 
 
 def _outcome(run):
@@ -614,6 +613,8 @@ def test_read_database_rejects_bad_role():
         ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 2}, {"lemma": "a", "count": 5}]}]',
          "duplicate filler 'a' for verb 'v'"),
         ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 0}]}]', "non-positive filler count"),
+        ('[{"verb": "v", "role": "S", "fillers": []}, {"verb": "v", "role": "S", "fillers": []}]',
+         "duplicate database entry for ('v', 'S')"),
     ],
 )
 def test_read_database_rejects_malformed_entries(text, message):

@@ -22,7 +22,7 @@ from lexsets.errors import VectorFormatError
 # --- oracle: the earlier loader ---------------------------------------------
 
 
-def oracle_load_text_vectors(stream, *, metadata="", vocabulary=None):
+def oracle_load_text_vectors(stream, *, vocabulary=None):
     dimension = None
     declared = None
     data_rows = 0
@@ -84,7 +84,7 @@ def oracle_load_text_vectors(stream, *, metadata="", vocabulary=None):
         matrix = np.empty((0, dimension))
     else:
         matrix.resize((len(rows), dimension), refcheck=False)
-    return EmbeddingStore._of_rows(matrix, rows, metadata, duplicates, len(rows) + len(unheld))
+    return EmbeddingStore.__new__(EmbeddingStore)._hold(matrix, rows, duplicates, len(rows) + len(unheld))
 
 
 # --- generated files ----------------------------------------------------------
@@ -171,7 +171,7 @@ def vector_files(draw):
 
 def outcome(load, lines, vocabulary):
     try:
-        store = load(iter(lines), metadata="m", vocabulary=vocabulary)
+        store = load(iter(lines), vocabulary=vocabulary)
     except VectorFormatError as exc:
         return ("error", exc.reason, exc.line_number)
     assert store.matrix.flags.c_contiguous and not store.matrix.flags.writeable
