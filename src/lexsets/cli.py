@@ -18,15 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from importlib import import_module
 from itertools import repeat
 from pathlib import Path
 
-from . import report
-from .analysis import VerbInventory, analyze_lexical_sets, load_inventory, load_reference_ranking
 from .corpus import (
     ExtractionRules,
     ParseStats,
     count_fillers,
+    json_text,
     lexical_sets_from_counts,
     parse_conll,
     passes_length_filter,
@@ -34,13 +34,23 @@ from .corpus import (
     write_database,
     write_database_tsv,
 )
-from .embeddings import _VectorReader, load_text_vectors
 from .errors import ConfigError, ConllParseError, InputError, LexsetsError, VectorFormatError
+from .inventory import VerbInventory, load_inventory, load_reference_ranking
+
+# The analyze stage's numpy-backed names, imported on first use so that extract loads no numpy.
+# _analyze calls them as attributes of this module, where a wrapper set on the module replaces them.
+_ANALYZE_NAMES = {"load_text_vectors": "embeddings", "analyze_lexical_sets": "analysis"}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
+
+
+def __getattr__(name: str):
+    if name not in _ANALYZE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_ANALYZE_NAMES[name]}", __package__), name)
 
 
 @dataclass
@@ -134,19 +144,28 @@ def _read_input(path: str, read, start: int = 0, end: int | None = None):
 def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
     """Check a command's inputs before any work: every file exists, then the inventory, then the vector head.
 
-    ``paths`` are the command's own inputs. One error names every missing file, a line each, before any is opened.
+    ``paths`` are the command's own inputs, and no two of its corpus entries may name one file.
+    One error names every missing file, a line each, before any is opened.
     Of the vector file, when ``paths`` holds it, only the header and first data row are read.
     """
     inputs = [*paths, config.inventory_path, config.reference_ranking_path]
     missing = [path for path in inputs if path and not Path(path).is_file()]
     if missing:  # main prints "error: " before the first line
         raise InputError("\nerror: ".join(f"missing input file: {path}" for path in missing))
+    spellings: dict[tuple[int, int], str] = {}
+    for path in (path for path in paths if path in config.corpus_paths):
+        stat = os.stat(path)
+        first = spellings.setdefault((stat.st_dev, stat.st_ino), path)  # the identity os.path.samefile compares
+        if first != path:  # its counts would be summed twice
+            raise ConfigError(f"corpus_paths lists one file twice, as {first!r} and {path!r}")
     inventory = _read_input(config.inventory_path, load_inventory)
     if config.reference_ranking_path:
         entries = inventory.entries
         inventory = _read_input(config.reference_ranking_path,
                                 lambda stream: VerbInventory(entries, load_reference_ranking(stream)))
     if config.vectors_path in paths:
+        from .embeddings import _VectorReader
+
         _read_input(config.vectors_path, _VectorReader(()).take_head)
     return inventory
 
@@ -335,19 +354,21 @@ def _extract(config: RunConfig, inventory: VerbInventory) -> int:
         write_database(sets, stream)
     with _atomic_output(_prefix_path(config, "lexsets.tsv")) as stream:
         write_database_tsv(sets, stream)
-    _write_text(_prefix_path(config, "manifest.json"), report.json_text(manifest))
+    _write_text(_prefix_path(config, "manifest.json"), json_text(manifest))
     if not sets:
         print("warning: no target-verb occurrences found; database is empty", file=sys.stderr)
     return EXIT_OK
 
 
 def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) -> int:
+    from . import report
+
+    this = sys.modules[__name__]  # see _ANALYZE_NAMES
     sets = _read_input(database_path, read_database)
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
-    # a lambda looks up load_text_vectors when it runs, so a wrapper set on this module sees the call
-    store = _read_input(config.vectors_path, lambda stream: load_text_vectors(stream, vocabulary=fillers))
+    store = _read_input(config.vectors_path, lambda stream: this.load_text_vectors(stream, vocabulary=fillers))
 
-    result = analyze_lexical_sets(sets, store, inventory)
+    result = this.analyze_lexical_sets(sets, store, inventory)
 
     geometry_csv, geometry_json = report.geometry_documents(result, verbose=config.verbose_geometry)
     analysis_csv, analysis_json = report.analysis_documents(result)
@@ -370,7 +391,7 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) ->
         "distances_above_one": result.distances_above_one,
         "notes": result.notes,
     }
-    _write_text(_prefix_path(config, "analysis_manifest.json"), report.json_text(manifest))
+    _write_text(_prefix_path(config, "analysis_manifest.json"), json_text(manifest))
 
     if not result.verbs:
         print("error: every inventory verb was excluded from the analysis", file=sys.stderr)

@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import astuple, dataclass, fields
 from numbers import Real
 from typing import Mapping, Sequence
 
 from .analysis import AnalysisResult, VerbResult
-from .corpus import ROLE_O, ROLE_S, ROLES
+from .corpus import ROLE_O, ROLE_S, ROLES, _FLOAT_DECIMALS, _rounded, json_text
 from .errors import PlotSpecError
 from .geometry import COVERAGE_FIELDS, BoxStats
 
 _MARKER_COLORS = ("#2ca02c", "#1f77b4", "#d62728", "#9467bd")
-_FLOAT_DECIMALS = 6
 
 
 @dataclass
@@ -249,22 +247,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.{_FLOAT_DECIMALS}f}"
     return str(value)
-
-
-def _rounded(obj):
-    """``obj`` with every float in it, at any depth of dicts and lists, rounded to 6 decimals."""
-    if isinstance(obj, float):
-        return round(obj, _FLOAT_DECIMALS)
-    if isinstance(obj, dict):
-        return {key: _rounded(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(value) for value in obj]
-    return obj
-
-
-def json_text(obj) -> str:
-    """``obj`` as every JSON artifact's text: floats rounded to 6 decimals, raw UTF-8, indent 2, a final newline."""
-    return json.dumps(_rounded(obj), ensure_ascii=False, indent=2) + "\n"
 
 
 def _table(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, list[dict]]:

@@ -312,9 +312,38 @@ def test_failed_write_leaves_no_database(workdir, monkeypatch, capsys):
     assert sorted(p.name for p in (workdir / "out").iterdir()) == []
 
 
-def test_extract_does_not_import_scipy(workdir):
-    result = run_python(workdir, "-c", "import lexsets.cli, sys; assert 'scipy' not in sys.modules")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_does_not_import_numpy(workdir, workers):
+    code = (
+        "import sys; from lexsets.cli import main; "
+        f"assert main(['extract', '--config', 'toy_config.json', '--workers', '{workers}']) == 0; "
+        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')]; "
+        "assert not loaded, loaded"
+    )
+    result = run_python(workdir, "-c", code)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_runs_where_numpy_cannot_be_imported(workdir, workers):
+    code = f"""
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{{name}} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoNumpy())
+from lexsets.cli import main
+
+sys.exit(main(["extract", "--config", "toy_config.json", "--workers", "{workers}"]))
+"""
+    result = run_python(workdir, "-c", code)
+    assert result.returncode == 0, result.stderr
+    for name in EXTRACT_FILES:
+        assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_analyze_does_not_import_scipy_stats(workdir):
@@ -350,6 +379,26 @@ assert 0.0095 < t_approximation_pvalue(0.56391, 20) < 0.01
 """
     result = run_python(workdir, "-c", code)
     assert result.returncode == 0, result.stderr
+
+
+def test_analyze_calls_the_vector_loader_and_analysis_set_on_the_cli_module(workdir, monkeypatch):
+    calls = []
+
+    def recording(name):
+        function = getattr(cli, name)  # resolved on first use, so extract loads no numpy
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.chdir(workdir)
+    for name in ("load_text_vectors", "analyze_lexical_sets"):
+        monkeypatch.setattr(cli, name, recording(name))
+    assert main(["run", "--config", "toy_config.json"]) == 0
+    assert calls == ["load_text_vectors", "analyze_lexical_sets"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
 
 
 def test_undecodable_vector_file_names_the_file(workdir):
@@ -769,6 +818,19 @@ def test_empty_reference_or_repeated_corpus_exits_one_before_any_work(workdir, c
     result = run_cli(workdir, command, "--config", "toy_config.json")
     assert result.returncode == 1
     assert result.stderr == f"error: {named}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "extract", "run"])
+@pytest.mark.parametrize("spelling", ["dot", "absolute", "symlink"])
+def test_one_corpus_file_under_two_spellings_exits_one_before_any_work(workdir, monkeypatch, capsys, command,
+                                                                       spelling):
+    second = {"dot": "./toy.conllu", "absolute": str(workdir / "toy.conllu"), "symlink": "link.conllu"}[spelling]
+    (workdir / "link.conllu").symlink_to("toy.conllu")
+    set_config_field(workdir, "corpus_paths", ["toy.conllu", second])
+    monkeypatch.chdir(workdir)
+    assert main([command, "--config", "toy_config.json"]) == 1
+    assert capsys.readouterr().err == f"error: corpus_paths lists one file twice, as 'toy.conllu' and {second!r}\n"
     assert not (workdir / "out").exists()
 
 
