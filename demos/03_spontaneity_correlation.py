@@ -17,7 +17,7 @@ import io
 from pathlib import Path
 
 from lexsets import analyze_lexical_sets, load_inventory, load_text_vectors, parse_conll
-from lexsets import ExtractionRules, count_fillers, lexical_sets_from_counts, passes_length_filter
+from lexsets import ExtractionRules, count_fillers, lexical_sets_from_counts
 
 DATA = Path(__file__).parent.parent / "tests" / "data"
 
@@ -29,8 +29,7 @@ def main():
     targets = set(inventory.lemmas)
 
     with open(DATA / "toy.conllu", encoding="utf-8") as stream:
-        sentences = (s for s in parse_conll(stream, strict=False) if passes_length_filter(s, rules))
-        sets = lexical_sets_from_counts(count_fillers(sentences, targets, rules))
+        sets = lexical_sets_from_counts(count_fillers(parse_conll(stream, strict=False), targets, rules))
     with open(DATA / "toy_vectors.txt", encoding="utf-8") as stream:
         store = load_text_vectors(stream)
 

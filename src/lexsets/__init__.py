@@ -22,8 +22,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("ExtractionRules", "LexicalSet", "ParseStats", "Sentence", "Token", "count_fillers", "extract_fillers",
-         "lexical_sets_from_counts", "parse_conll", "passes_length_filter", "read_database", "write_database",
-         "write_database_tsv"),
+         "lexical_sets_from_counts", "parse_conll", "read_database", "write_database", "write_database_tsv"),
         "corpus",
     ),
     **dict.fromkeys(("EmbeddingStore", "cosine_distance", "cosine_similarity", "load_text_vectors"), "embeddings"),

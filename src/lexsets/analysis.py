@@ -24,8 +24,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .geometry import BoxStats, SetGeometry, box_stats, compute_set_geometry
-# re-exported: callers import the inventory names from this module too
-from .inventory import InventoryEntry, VerbInventory, default_inventory, load_inventory, load_reference_ranking
+from .inventory import VerbInventory
 
 EXACT_PERMUTATION_MAX_N = 10
 RANK_DIRECTIONS = ("ascending", "descending")

@@ -2,8 +2,8 @@
 
 Subcommands: ``extract``, ``analyze``, ``run`` (both stages) and
 ``validate-config``. Runs are driven by a JSON config file; each command
-takes only the flags it reads. Exit codes: 0 success, 1 usage/config error,
-2 input or parse error, 3 empty result.
+takes only the flags it reads. Exit codes: 0 success, 1 usage/config error
+or no numpy for a command that needs it, 2 input or parse error, 3 empty result.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .corpus import (
     json_text,
     lexical_sets_from_counts,
     parse_conll,
-    passes_length_filter,
     read_database,
     write_database,
     write_database_tsv,
@@ -267,21 +266,14 @@ def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rul
     """Parse bytes ``[start, end)`` of one corpus file and count the fillers of its sentences.
 
     Returns the filler counts and the parse statistics, which count the
-    sentences dropped by the length filter; every other parsed sentence
-    is processed.
+    sentences dropped by the length filter.
     The range must start and end at cuts made by :func:`_cut_ranges`,
     so summing the results of a file's ranges equals one serial pass.
     A parse error names the file and its line in the whole file.
     """
     def count(stream) -> tuple[Counter, ParseStats]:
         stats = ParseStats()
-        counts: Counter = Counter()
-        for sentence in parse_conll(stream, strict=strict, stats=stats):
-            if not passes_length_filter(sentence, rules):
-                stats.sentences_filtered_by_length += 1
-                continue
-            counts.update(count_fillers([sentence], targets, rules))
-        return counts, stats
+        return count_fillers(parse_conll(stream, strict=strict, stats=stats), targets, rules, stats), stats
 
     return _read_input(path, count, start, end)
 
@@ -445,6 +437,11 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ModuleNotFoundError as exc:  # every command but extract checks vector rows with numpy
+        if exc.name != "numpy" and not (exc.name or "").startswith("numpy."):
+            raise
+        print(f"error: {args.command} needs numpy, which cannot be imported ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except (LexsetsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

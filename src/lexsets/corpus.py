@@ -125,7 +125,7 @@ class ParseStats:
     malformed_lines: int = 0
     comment_lines: int = 0
     range_lines_skipped: int = 0
-    sentences_filtered_by_length: int = 0  # counted by the caller that filters; parse_conll leaves it 0
+    sentences_filtered_by_length: int = 0  # counted by count_fillers; parse_conll leaves it 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -260,16 +260,7 @@ def parse_conll(
             add_line_number(line_number)
 
 
-def passes_length_filter(sentence: Sentence, rules: ExtractionRules) -> bool:
-    """True iff the sentence is strictly shorter than the configured cap."""
-    return len(sentence.tokens) < rules.max_sentence_length
-
-
-def extract_fillers(
-    sentence: Sentence,
-    verbs: Iterable[str],
-    rules: ExtractionRules,
-) -> list[tuple[str, str, str]]:
+def extract_fillers(sentence: Sentence, verbs: Iterable[str], rules: ExtractionRules) -> list[tuple[str, str, str]]:
     """Collect the (verb, role, filler) triples of one parsed sentence.
 
     For every verbal token whose lemma is a target:
@@ -279,7 +270,11 @@ def extract_fillers(
     or it carries the clitic (which overrides the object test).
     Lemmas are lower-cased on output.
     """
-    targets = {v.lower() for v in verbs}
+    return _sentence_fillers(sentence, {v.lower() for v in verbs}, rules)
+
+
+def _sentence_fillers(sentence: Sentence, targets: set[str], rules: ExtractionRules) -> list[tuple[str, str, str]]:
+    """:func:`extract_fillers` for a set of lower-cased target lemmas."""
     verb_pos_tags = rules.verb_pos_tags
     target_tokens = [t for t in sentence.tokens if t.upos in verb_pos_tags and t.lemma.lower() in targets]
     if not target_tokens:
@@ -304,16 +299,25 @@ def extract_fillers(
 
 
 def count_fillers(
-    sentences: Iterable[Sentence], verbs: Iterable[str], rules: ExtractionRules
+    sentences: Iterable[Sentence], verbs: Iterable[str], rules: ExtractionRules, stats: ParseStats | None = None
 ) -> Counter:
     """Filler counts keyed by (verb, role, lemma) over any run of sentences.
 
+    A sentence of ``rules.max_sentence_length`` tokens or more is
+    skipped and counted in ``stats.sentences_filtered_by_length``.
     Counts merge by plain counter addition, so any partition of the
     corpus yields the same totals as a sequential pass.
     """
+    if stats is None:
+        stats = ParseStats()
+    targets = {v.lower() for v in verbs}
+    cap = rules.max_sentence_length
     counts: Counter = Counter()
     for sentence in sentences:
-        counts.update(extract_fillers(sentence, verbs, rules))
+        if len(sentence.tokens) >= cap:
+            stats.sentences_filtered_by_length += 1
+            continue
+        counts.update(_sentence_fillers(sentence, targets, rules))
     return counts
 
 
@@ -328,18 +332,6 @@ def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict
 
 def _sorted_sets(sets: Mapping[tuple[str, str], LexicalSet]) -> list[LexicalSet]:
     return [sets[key] for key in sorted(sets, key=lambda k: (k[0], ROLES.index(k[1])))]
-
-
-def database_to_obj(sets: Mapping[tuple[str, str], LexicalSet]) -> list[dict]:
-    """JSON-ready form of the lexical-set database, deterministically ordered."""
-    return [
-        {
-            "verb": ls.verb_lemma,
-            "role": ls.role,
-            "fillers": [{"lemma": lemma, "count": ls.counts[lemma]} for lemma in sorted(ls.counts)],
-        }
-        for ls in _sorted_sets(sets)
-    ]
 
 
 def _rounded(obj):
@@ -359,11 +351,21 @@ def json_text(obj) -> str:
 
 
 def write_database(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) -> None:
-    # json.dump writes chunk by chunk; json.dumps (json_text) would first hold every chunk and
-    # then one string of the whole database, which on the dense-sets benchmark database (seed 3) took
-    # peak RSS from 44.0 to 70.1 MB in process (Python 3.11, Linux).
-    json.dump(database_to_obj(sets), stream, ensure_ascii=False, indent=2)
-    stream.write("\n")
+    """The sets, in deterministic order, as ``json.dump(..., ensure_ascii=False, indent=2)`` writes them, and a newline.
+
+    Only one set at a time is held as JSON text.
+    """
+    stream.write("[")
+    for number, ls in enumerate(_sorted_sets(sets)):
+        entry = {
+            "verb": ls.verb_lemma,
+            "role": ls.role,
+            "fillers": [{"lemma": lemma, "count": ls.counts[lemma]} for lemma in sorted(ls.counts)],
+        }
+        stream.write(",\n  " if number else "\n  ")
+        # a list item sits two spaces deeper; json.dumps escapes newlines in strings, so each one left starts a line
+        stream.write(json.dumps(entry, ensure_ascii=False, indent=2).replace("\n", "\n  "))
+    stream.write("\n]\n" if sets else "]\n")
 
 
 def read_database(stream: IO[str]) -> dict[tuple[str, str], LexicalSet]:

@@ -15,13 +15,8 @@ from scipy import stats as scipy_stats
 from lexsets import report
 from lexsets.analysis import (
     CorrelationResult,
-    InventoryEntry,
-    VerbInventory,
     analyze_lexical_sets,
     centroid_distance,
-    default_inventory,
-    load_inventory,
-    load_reference_ranking,
     rank_values,
     spearman,
     split_half_median_average,
@@ -32,6 +27,7 @@ from lexsets.cli import RunConfig, _prepare
 from lexsets.corpus import LexicalSet
 from lexsets.errors import EmptySetError, InputError, UndefinedCorrelationError
 from lexsets.geometry import SetGeometry
+from lexsets.inventory import InventoryEntry, VerbInventory, default_inventory, load_inventory, load_reference_ranking
 
 from conftest import store_from_text
 

@@ -324,26 +324,45 @@ def test_extract_does_not_import_numpy(workdir, workers):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_extract_runs_where_numpy_cannot_be_imported(workdir, workers):
+def run_without_numpy(workdir, *argv):
+    """``main(argv)`` in a child process where importing numpy fails as it does when numpy is not installed."""
     code = f"""
 import sys
 
 class NoNumpy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"{{name}} is blocked")
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
         return None
 
 sys.meta_path.insert(0, NoNumpy())
 from lexsets.cli import main
 
-sys.exit(main(["extract", "--config", "toy_config.json", "--workers", "{workers}"]))
+sys.exit(main({list(argv)!r}))
 """
-    result = run_python(workdir, "-c", code)
+    return run_python(workdir, "-c", code)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_runs_where_numpy_cannot_be_imported(workdir, workers):
+    # the commands that check vector rows need numpy, and say so in one line
+    for argv in (["validate-config", "--config", "toy_config.json"],
+                 ["run", "--config", "toy_config.json", "--workers", str(workers)]):
+        result = run_without_numpy(workdir, *argv)
+        assert (result.returncode, result.stdout) == (1, ""), result.stderr
+        assert result.stderr == (f"error: {argv[0]} needs numpy, which cannot be imported"
+                                 " (No module named 'numpy')\n")
+        assert not (workdir / "out").exists()
+
+    result = run_without_numpy(workdir, "extract", "--config", "toy_config.json", "--workers", str(workers))
     assert result.returncode == 0, result.stderr
     for name in EXTRACT_FILES:
         assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+    result = run_without_numpy(workdir, "analyze", "--config", "toy_config.json")
+    assert (result.returncode, result.stdout) == (1, ""), result.stderr
+    assert result.stderr == "error: analyze needs numpy, which cannot be imported (No module named 'numpy')\n"
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted(EXTRACT_FILES)
 
 
 def test_analyze_does_not_import_scipy_stats(workdir):

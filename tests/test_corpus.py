@@ -1,14 +1,14 @@
 import io
+import json
 import re
 from collections import Counter
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexsets.analysis import load_inventory
 from lexsets import corpus
 from lexsets.cli import _cut_ranges, _extract_shard, _merge_shards
 
@@ -22,12 +22,12 @@ from lexsets.corpus import (
     extract_fillers,
     lexical_sets_from_counts,
     parse_conll,
-    passes_length_filter,
     read_database,
     write_database,
     write_database_tsv,
 )
 from lexsets.errors import ConllParseError
+from lexsets.inventory import load_inventory
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -220,13 +220,18 @@ def test_lenient_parser_never_raises(text):
 
 
 def _sentence_of_length(n):
-    return make_sentence(*[(i, "w", "w", "X", 0 if i == 1 else 1, "dep") for i in range(1, n + 1)])
+    """A target verb and ``n - 1`` direct objects of it; no token at all for 0."""
+    verb = [(1, "apre", "aprire", "VERB", 0, "root")][:n]
+    return make_sentence(*verb, *[(i, "porta", "porta", "NOUN", 1, "dobj") for i in range(2, n + 1)])
 
 
-@pytest.mark.parametrize("length,expected", [(99, True), (100, False), (0, True)])
-def test_length_filter_is_strict(length, expected):
+@pytest.mark.parametrize("length,counted", [(99, True), (100, False), (0, True)])
+def test_length_filter_is_strict(length, counted):
     rules = ExtractionRules(max_sentence_length=100)
-    assert passes_length_filter(_sentence_of_length(length), rules) is expected
+    stats = ParseStats(sentences_filtered_by_length=2)  # count_fillers adds to it and never reads it
+    counts = count_fillers([_sentence_of_length(length)], {"aprire"}, rules, stats)
+    assert counts == ({("aprire", "O", "porta"): length - 1} if counted and length > 1 else {})
+    assert stats == ParseStats(sentences_filtered_by_length=2 if counted else 3)
 
 
 # --- extract_fillers -----------------------------------------------------
@@ -402,12 +407,49 @@ def test_library_route_writes_the_golden_database():
     rules = ExtractionRules(max_sentence_length=15)
     with open(DATA_DIR / "toy_inventory.json", encoding="utf-8") as stream:
         targets = load_inventory(stream).lemmas
+    stats = ParseStats()
     with open(DATA_DIR / "toy.conllu", encoding="utf-8") as stream:
-        sentences = (s for s in parse_conll(stream, strict=False) if passes_length_filter(s, rules))
-        sets = lexical_sets_from_counts(count_fillers(sentences, targets, rules))
+        counts = count_fillers(parse_conll(stream, strict=False, stats=stats), targets, rules, stats)
     buffer = io.StringIO()
-    write_database(sets, buffer)
+    write_database(lexical_sets_from_counts(counts), buffer)
     assert buffer.getvalue().encode("utf-8") == (GOLDEN_DIR / "toy_lexsets.json").read_bytes()
+    manifest = json.loads((GOLDEN_DIR / "toy_manifest.json").read_text(encoding="utf-8"))
+    assert stats.sentences_filtered_by_length == manifest["sentences_filtered_by_length"] == 1
+    assert stats.as_dict().items() <= manifest.items()
+
+
+# --- write_database ------------------------------------------------------
+
+# JSON escapes some of these, passes others through raw (ensure_ascii=False), and U+2028 ends a line in some readers
+AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028\u2029é文😀'), st.characters()), max_size=6
+)
+
+
+@st.composite
+def databases(draw):
+    keys = draw(st.lists(st.tuples(st.one_of(st.sampled_from("vw"), AWKWARD_TEXT), st.sampled_from(corpus.ROLES)),
+                         unique=True, max_size=6))
+    return {key: LexicalSet(*key, draw(st.dictionaries(AWKWARD_TEXT, st.integers(1, 10**12), max_size=5)))
+            for key in keys}
+
+
+@settings(max_examples=300)
+@given(databases())
+@example({})
+@example({("v", "O"): LexicalSet("v", "O", {})})
+def test_write_database_writes_the_bytes_of_one_json_dump(sets):
+    # the layout the database had as one list, sets by verb then role and fillers by lemma
+    obj = [
+        {"verb": verb, "role": role, "fillers": [{"lemma": lemma, "count": count}
+                                                 for lemma, count in sorted(sets[verb, role].counts.items())]}
+        for verb, role in sorted(sets, key=lambda key: (key[0], corpus.ROLES.index(key[1])))
+    ]
+    expected = io.StringIO()
+    json.dump(obj, expected, ensure_ascii=False, indent=2)
+    written = io.StringIO()
+    write_database(sets, written)
+    assert written.getvalue() == expected.getvalue() + "\n"
 
 
 # --- byte-range shards ---------------------------------------------------
@@ -462,14 +504,15 @@ def corpus_bytes(draw):
 
 
 def _serial_pass(path, strict):
+    """The oracle of the shards: one pass that applies the length cap by hand, sentence by sentence."""
     stats = ParseStats()
     counts = Counter()
     with open(path, encoding="utf-8") as stream:
         for sentence in parse_conll(stream, strict=strict, stats=stats):
-            if not passes_length_filter(sentence, SHARD_RULES):
+            if len(sentence.tokens) >= SHARD_RULES.max_sentence_length:
                 stats.sentences_filtered_by_length += 1
                 continue
-            counts.update(count_fillers([sentence], SHARD_TARGETS, SHARD_RULES))
+            counts.update(extract_fillers(sentence, SHARD_TARGETS, SHARD_RULES))
     return counts, stats
 
 

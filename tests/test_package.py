@@ -33,7 +33,6 @@ EXPORTS = {
     "extract_fillers": "corpus",
     "lexical_sets_from_counts": "corpus",
     "parse_conll": "corpus",
-    "passes_length_filter": "corpus",
     "read_database": "corpus",
     "write_database": "corpus",
     "write_database_tsv": "corpus",

@@ -176,7 +176,7 @@ def oracle_extract_fillers(sentence, verbs, rules):
 # --- generated corpora ----------------------------------------------------
 
 TARGETS = ("aprire", "Rompere")
-RULES = ExtractionRules()
+RULES = ExtractionRules(max_sentence_length=4)  # generated sentences have 1-6 tokens, so the cap drops some
 LEMMAS = ["aprire", "APRIRE", "rompere", "porta", "vetro", "si", "Si"]
 SEPARATORS = ["\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n", "\n# sent_id = x\n\n"]
 # Lines that never make a block bad, and lines that make it malformed or
@@ -275,8 +275,12 @@ def test_parse_and_count_match_the_earlier_parser(text, strict):
     assert stats == expected_stats
     if isinstance(sentences, list):
         assert [s.tokens for s in sentences] == expected
-        assert count_fillers(sentences, TARGETS, RULES) == Counter(
-            filler for sentence in sentences for filler in oracle_extract_fillers(sentence, TARGETS, RULES)
+        counted = ParseStats()
+        counts = count_fillers(sentences, TARGETS, RULES, counted)
+        kept = [sentence for sentence in sentences if len(sentence.tokens) < RULES.max_sentence_length]
+        assert counts == Counter(
+            filler for sentence in kept for filler in oracle_extract_fillers(sentence, TARGETS, RULES)
         )
+        assert counted == ParseStats(sentences_filtered_by_length=len(sentences) - len(kept))
     else:
         assert sentences == expected
