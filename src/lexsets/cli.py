@@ -327,8 +327,10 @@ def cmd_extract(config: RunConfig) -> int:
 
 
 def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
+    # a database named on the command line is read without a manifest
+    manifest_path = None if database_path else f"{config.output_prefix}_manifest.json"
     database_path = database_path or f"{config.output_prefix}_lexsets.json"
-    return _analyze(config, _prepare(config, [database_path, config.vectors_path]), database_path)
+    return _analyze(config, _prepare(config, [database_path, config.vectors_path]), database_path, manifest_path)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -352,11 +354,15 @@ def _extract(config: RunConfig, inventory: VerbInventory) -> int:
     return EXIT_OK
 
 
-def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) -> int:
+def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str,
+             manifest_path: str | None = None) -> int:
+    """Analyse the database; with ``manifest_path``, first check it against that extract manifest."""
     from . import report
 
     this = sys.modules[__name__]  # see _ANALYZE_NAMES
     sets = _read_input(database_path, read_database)
+    if manifest_path:
+        _check_extract_manifest(manifest_path, database_path, sum(ls.total_count for ls in sets.values()))
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     store = _read_input(config.vectors_path, lambda stream: this.load_text_vectors(stream, vocabulary=fillers))
 
@@ -393,6 +399,23 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str) ->
     return EXIT_OK
 
 
+def _check_extract_manifest(manifest_path: str, database_path: str, filler_records: int) -> None:
+    """InputError unless ``manifest_path`` exists and counts the database's ``filler_records``.
+
+    ``extract`` removes its manifest before it replaces the database and
+    writes it last, so a database without a manifest that counts it is
+    the output of an extract that did not finish, or of another run.
+    """
+    if not Path(manifest_path).is_file():
+        raise InputError(f"{database_path} has no extract manifest {manifest_path}: its extract did not finish"
+                         " or did not write it; run extract again, or read it with --database")
+    manifest = _read_input(manifest_path, json.load)
+    recorded = manifest.get("filler_records") if isinstance(manifest, dict) else None
+    if type(recorded) is not int or recorded != filler_records:
+        raise InputError(f"{manifest_path} records {recorded!r} filler records, but {database_path} holds"
+                         f" {filler_records}, so they come from different runs; run extract again")
+
+
 def cmd_validate_config(path: str) -> int:
     config = load_config(path)
     _prepare(config, [*config.corpus_paths, config.vectors_path])
@@ -415,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name].add_argument("--output-prefix", help="override the configured output prefix")
     for name in ("extract", "run"):
         commands[name].add_argument("--workers", type=int, metavar="N", help="override the configured worker count")
-    commands["analyze"].add_argument("--database", help="lexical-set database (default: <prefix>_lexsets.json)")
+    commands["analyze"].add_argument("--database", help="lexical-set database, read without its extract manifest"
+                                     " (default: <prefix>_lexsets.json, checked against <prefix>_manifest.json)")
     return parser
 
 

@@ -351,21 +351,42 @@ def json_text(obj) -> str:
 
 
 def write_database(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) -> None:
-    """The sets, in deterministic order, as ``json.dump(..., ensure_ascii=False, indent=2)`` writes them, and a newline.
+    """Write the sets, verb by verb and S before O, each with its fillers by lemma.
 
-    Only one set at a time is held as JSON text.
+    The bytes are those of ``json.dump(obj, stream, ensure_ascii=False,
+    indent=2)`` and a newline, where ``obj`` is the list of
+    ``{"verb", "role", "fillers"}`` objects and each filler is a
+    ``{"lemma", "count"}`` object. Each set is one ``stream.write``, so
+    only one set at a time is held as text. ValueError names the first
+    set whose verb is not a ``str``, or whose filler has a lemma that is
+    not a ``str`` or a count that is not an ``int`` (a ``bool`` is not).
     """
-    stream.write("[")
-    for number, ls in enumerate(_sorted_sets(sets)):
-        entry = {
-            "verb": ls.verb_lemma,
-            "role": ls.role,
-            "fillers": [{"lemma": lemma, "count": ls.counts[lemma]} for lemma in sorted(ls.counts)],
-        }
-        stream.write(",\n  " if number else "\n  ")
-        # a list item sits two spaces deeper; json.dumps escapes newlines in strings, so each one left starts a line
-        stream.write(json.dumps(entry, ensure_ascii=False, indent=2).replace("\n", "\n  "))
-    stream.write("\n]\n" if sets else "]\n")
+    # not json.dumps(indent=2): any indent selects the pure-Python encoder, which is ten times slower than this
+    string = json.encoder.encode_basestring
+    separator = "[\n"
+    for ls in _sorted_sets(sets):
+        _check_writable(ls)
+        counts = ls.counts
+        fillers = ",\n".join([f'      {{\n        "lemma": {string(lemma)},\n        "count": {counts[lemma]}\n      }}'
+                              for lemma in sorted(counts)])
+        body = f"[\n{fillers}\n    ]" if counts else "[]"
+        stream.write(f'{separator}  {{\n    "verb": {string(ls.verb_lemma)},\n    "role": {string(ls.role)},\n'
+                     f'    "fillers": {body}\n  }}')
+        separator = ",\n"
+    stream.write("\n]\n" if sets else "[]\n")
+
+
+def _check_writable(ls: LexicalSet) -> None:
+    """ValueError unless the verb and lemmas are ``str`` and the counts ``int``, the types ``read_database`` reads."""
+    counts = ls.counts
+    if type(ls.verb_lemma) is not str:
+        raise ValueError(f"verb {ls.verb_lemma!r} of role {ls.role!r} is not a string")
+    if set(map(type, counts)) <= {str} and set(map(type, counts.values())) <= {int}:
+        return
+    lemma, count = next((lemma, count) for lemma, count in counts.items()
+                        if type(lemma) is not str or type(count) is not int)
+    raise ValueError(f"filler {lemma!r} of verb {ls.verb_lemma!r} role {ls.role!r} needs a string lemma and"
+                     f" an integer count, got count {count!r}")
 
 
 def read_database(stream: IO[str]) -> dict[tuple[str, str], LexicalSet]:

@@ -687,7 +687,8 @@ def test_byte_order_marks_on_every_input_are_skipped(workdir, workers, header):
 
 def test_byte_order_mark_on_a_database_is_skipped(workdir):
     (workdir / "out").mkdir()
-    (workdir / "out" / "toy_lexsets.json").write_bytes(BOM + (GOLDEN_DIR / "toy_lexsets.json").read_bytes())
+    for name in ("toy_lexsets.json", "toy_manifest.json"):
+        (workdir / "out" / name).write_bytes(BOM + (GOLDEN_DIR / name).read_bytes())
     result = run_cli(workdir, "analyze", "--config", "toy_config.json")
     assert result.returncode == 0, result.stderr
     assert read_out(workdir, "toy_analysis.json") == (GOLDEN_DIR / "toy_analysis.json").read_bytes()
@@ -915,6 +916,33 @@ def test_a_failed_extract_removes_the_old_manifest(workdir):
     database = json.loads(read_out(workdir, "toy_lexsets.json"))
     assert sum(filler["count"] for entry in database for filler in entry["fillers"]) == 24
     assert not (workdir / "out" / "toy_manifest.json").exists()
+
+
+NO_MANIFEST = ("error: out/toy_lexsets.json has no extract manifest out/toy_manifest.json: its extract did not"
+               " finish or did not write it; run extract again, or read it with --database\n")
+
+
+@pytest.mark.parametrize("state", ["manifest-deleted", "extract-failed", "old-manifest-put-back"])
+def test_analyze_refuses_a_database_that_its_extract_manifest_does_not_count(workdir, state):
+    assert run_cli(workdir, "run", "--config", "toy_config.json").returncode == 0
+    message = NO_MANIFEST
+    if state == "manifest-deleted":
+        (workdir / "out" / "toy_manifest.json").unlink()
+    else:  # the database left by test_a_failed_extract_removes_the_old_manifest, 24 filler records
+        (workdir / "out" / "toy_lexsets.tsv").unlink()
+        (workdir / "out" / "toy_lexsets.tsv").mkdir()
+        set_config_field(workdir, "rules", {"max_sentence_length": 6})
+        assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 2
+        if state == "old-manifest-put-back":  # what the extract left before it removed its old manifest
+            shutil.copy(GOLDEN_DIR / "toy_manifest.json", workdir / "out" / "toy_manifest.json")
+            message = ("error: out/toy_manifest.json records 29 filler records, but out/toy_lexsets.json holds 24,"
+                       " so they come from different runs; run extract again\n")
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert (result.returncode, result.stderr) == (2, message)
+    assert read_out(workdir, "toy_analysis_manifest.json") == (GOLDEN_DIR / "toy_analysis_manifest.json").read_bytes()
+    # a database named with --database is read without a manifest
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json", "--database", "out/toy_lexsets.json")
+    assert result.returncode == 0, result.stderr
 
 
 def test_a_failed_analyze_removes_the_old_analysis_manifest(workdir):

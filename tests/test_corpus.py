@@ -430,8 +430,8 @@ AWKWARD_TEXT = st.text(
 def databases(draw):
     keys = draw(st.lists(st.tuples(st.one_of(st.sampled_from("vw"), AWKWARD_TEXT), st.sampled_from(corpus.ROLES)),
                          unique=True, max_size=6))
-    return {key: LexicalSet(*key, draw(st.dictionaries(AWKWARD_TEXT, st.integers(1, 10**12), max_size=5)))
-            for key in keys}
+    # any int, as json.dump writes it: zero, negative and past 2**63 included
+    return {key: LexicalSet(*key, draw(st.dictionaries(AWKWARD_TEXT, st.integers(), max_size=5))) for key in keys}
 
 
 @settings(max_examples=300)
@@ -450,6 +450,30 @@ def test_write_database_writes_the_bytes_of_one_json_dump(sets):
     written = io.StringIO()
     write_database(sets, written)
     assert written.getvalue() == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize(
+    "verb,counts,message",
+    [
+        ("v", {"a": 1, "b": True},
+         "filler 'b' of verb 'v' role 'O' needs a string lemma and an integer count, got count True"),
+        ("v", {"a": 1.0}, "filler 'a' of verb 'v' role 'O' needs .* got count 1.0"),
+        ("v", {"a": 2, 5: 1}, "filler 5 of verb 'v' role 'O' needs .* got count 1"),
+        ("v", {None: 1}, "filler None of verb 'v' role 'O' needs .* got count 1"),
+        (5, {"a": 1}, "verb 5 of role 'O' is not a string"),
+    ],
+    ids=["bool-count", "float-count", "int-lemma", "none-lemma", "int-verb"],
+)
+def test_write_database_refuses_what_read_database_refuses(verb, counts, message):
+    # json.dump writes each of these, and read_database then rejects it
+    with pytest.raises(ValueError, match=message):
+        write_database({(verb, "O"): LexicalSet(verb, "O", counts)}, io.StringIO())
+
+
+def test_write_database_refuses_a_numpy_integer_count():
+    import numpy
+    with pytest.raises(ValueError, match="filler 'a' of verb 'v' role 'S' needs a string lemma and an integer count"):
+        write_database({("v", "S"): LexicalSet("v", "S", {"a": numpy.int64(3)})}, io.StringIO())
 
 
 # --- byte-range shards ---------------------------------------------------
