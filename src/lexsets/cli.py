@@ -9,13 +9,12 @@ or no numpy for a command that needs it, 2 input or parse error, 3 empty result.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from importlib import import_module
@@ -36,9 +35,15 @@ from .corpus import (
 from .errors import ConfigError, ConllParseError, InputError, LexsetsError, VectorFormatError
 from .inventory import VerbInventory, load_inventory, load_reference_ranking
 
-# The analyze stage's numpy-backed names, imported on first use so that extract loads no numpy.
-# _analyze calls them as attributes of this module, where a wrapper set on the module replaces them.
-_ANALYZE_NAMES = {"load_text_vectors": "embeddings", "analyze_lexical_sets": "analysis"}
+# Names imported on first use, each from its module: the analyze stage's numpy-backed names, so that
+# extract loads no numpy, and the process pool's, so that only a run with more than one worker loads it.
+# Callers reach them as attributes of this module, where a wrapper or fake set on the module replaces them.
+_LAZY_NAMES = {
+    "load_text_vectors": ".embeddings",
+    "analyze_lexical_sets": ".analysis",
+    "ProcessPoolExecutor": "concurrent.futures",
+    "BrokenProcessPool": "concurrent.futures.process",
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,9 +52,9 @@ EXIT_EMPTY = 3
 
 
 def __getattr__(name: str):
-    if name not in _ANALYZE_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_ANALYZE_NAMES[name]}", __package__), name)
+    return getattr(import_module(_LAZY_NAMES[name], __package__), name)
 
 
 @dataclass
@@ -145,7 +150,8 @@ def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
 
     ``paths`` are the command's own inputs, and no two of its corpus entries may name one file.
     One error names every missing file, a line each, before any is opened.
-    Of the vector file, when ``paths`` holds it, only the header and first data row are read.
+    Of the vector file, when ``paths`` holds it, only the header and first data row are read,
+    after checking that numpy, which the commands that read vectors need, is installed.
     """
     inputs = [*paths, config.inventory_path, config.reference_ranking_path]
     missing = [path for path in inputs if path and not Path(path).is_file()]
@@ -163,7 +169,9 @@ def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
         inventory = _read_input(config.reference_ranking_path,
                                 lambda stream: VerbInventory(entries, load_reference_ranking(stream)))
     if config.vectors_path in paths:
-        from .embeddings import _VectorReader
+        if importlib.util.find_spec("numpy") is None:  # finds the package without importing it
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        from .vectorfile import _VectorReader
 
         _read_input(config.vectors_path, _VectorReader(()).take_head)
     return inventory
@@ -278,15 +286,19 @@ def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rul
     return _read_input(path, count, start, end)
 
 
-def _merge_shards(shards: list[tuple[str, int, int]], results) -> tuple[Counter, ParseStats]:
-    """Sum the shard results in shard order, naming the corpus file of a shard whose worker died."""
+def _merge_shards(shards: list[tuple[str, int, int]], results,
+                  worker_died: tuple[type[Exception], ...] = ()) -> tuple[Counter, ParseStats]:
+    """Sum the shard results in shard order, naming the corpus file of a shard whose worker died.
+
+    ``worker_died`` holds the exceptions that ``results`` raises for a dead worker (none in process).
+    """
     counts: Counter = Counter()
     stats = ParseStats()
     results = iter(results)
     for path, _, _ in shards:
         try:
             shard_counts, shard_stats = next(results)
-        except BrokenProcessPool as exc:
+        except worker_died as exc:
             raise InputError(f"{path}: a worker process stopped before its shard was done ({exc})") from None
         counts.update(shard_counts)
         stats.update(shard_stats)
@@ -307,8 +319,9 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     else:
         # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
-            counts, stats = _merge_shards(shards, pool.map(_extract_shard, *arguments))
+        this = sys.modules[__name__]  # see _LAZY_NAMES
+        with this.ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
+            counts, stats = _merge_shards(shards, pool.map(_extract_shard, *arguments), (this.BrokenProcessPool,))
 
     manifest = {
         "corpus_files": list(config.corpus_paths),
@@ -359,7 +372,7 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str,
     """Analyse the database; with ``manifest_path``, first check it against that extract manifest."""
     from . import report
 
-    this = sys.modules[__name__]  # see _ANALYZE_NAMES
+    this = sys.modules[__name__]  # see _LAZY_NAMES
     sets = _read_input(database_path, read_database)
     if manifest_path:
         _check_extract_manifest(manifest_path, database_path, sum(ls.total_count for ls in sets.values()))
@@ -462,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ModuleNotFoundError as exc:  # every command but extract checks vector rows with numpy
+    except ModuleNotFoundError as exc:  # every command but extract needs numpy for the vectors
         if exc.name != "numpy" and not (exc.name or "").startswith("numpy."):
             raise
         print(f"error: {args.command} needs numpy, which cannot be imported ({exc})", file=sys.stderr)

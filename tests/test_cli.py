@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -7,7 +8,8 @@ import pytest
 
 from lexsets import cli
 from lexsets.cli import load_config, main
-from lexsets.errors import ConfigError
+from lexsets.embeddings import load_text_vectors
+from lexsets.errors import ConfigError, VectorFormatError
 
 from conftest import DATA_DIR, GOLDEN_DIR, run_cli, run_python
 
@@ -312,30 +314,49 @@ def test_failed_write_leaves_no_database(workdir, monkeypatch, capsys):
     assert sorted(p.name for p in (workdir / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_extract_does_not_import_numpy(workdir, workers):
+POOL_PACKAGES = ("concurrent", "multiprocessing")
+
+
+# Each command imports only what it runs: numpy where vector rows are held, a process pool where one starts.
+@pytest.mark.parametrize("command,flags,absent", [
+    pytest.param("extract", ["--workers", "1"], ("numpy", *POOL_PACKAGES), id="1"),
+    pytest.param("extract", ["--workers", "2"], ("numpy",), id="2"),
+    pytest.param("validate-config", [], ("numpy", *POOL_PACKAGES), id="validate-config"),
+    pytest.param("analyze", [], POOL_PACKAGES, id="analyze"),
+])
+def test_extract_does_not_import_numpy(workdir, command, flags, absent):
+    if command == "analyze":
+        assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
     code = (
         "import sys; from lexsets.cli import main; "
-        f"assert main(['extract', '--config', 'toy_config.json', '--workers', '{workers}']) == 0; "
-        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')]; "
+        f"assert main({[command, '--config', 'toy_config.json', *flags]!r}) == 0; "
+        f"loaded = [m for m in sys.modules if m.split('.')[0] in {absent!r}]; "
         "assert not loaded, loaded"
     )
     result = run_python(workdir, "-c", code)
     assert result.returncode == 0, result.stderr
 
 
-def run_without_numpy(workdir, *argv):
-    """``main(argv)`` in a child process where importing numpy fails as it does when numpy is not installed."""
-    code = f"""
-import sys
-
+# Two ways numpy is missing: a finder that raises, and find_spec finding nothing, as where numpy is not installed.
+NO_NUMPY = {
+    "raises": """
 class NoNumpy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" or name.startswith("numpy."):
-            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
         return None
 
 sys.meta_path.insert(0, NoNumpy())
+""",
+    "not-found": 'sys.modules["numpy"] = None\n',
+}
+
+
+def run_without_numpy(workdir, *argv, finder="raises"):
+    """``main(argv)`` in a child process where numpy cannot be imported, in the way ``NO_NUMPY[finder]`` sets up."""
+    code = f"""
+import sys
+{NO_NUMPY[finder]}
 from lexsets.cli import main
 
 sys.exit(main({list(argv)!r}))
@@ -362,6 +383,22 @@ def test_extract_runs_where_numpy_cannot_be_imported(workdir, workers):
     result = run_without_numpy(workdir, "analyze", "--config", "toy_config.json")
     assert (result.returncode, result.stdout) == (1, ""), result.stderr
     assert result.stderr == "error: analyze needs numpy, which cannot be imported (No module named 'numpy')\n"
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted(EXTRACT_FILES)
+
+
+def test_commands_that_read_vectors_exit_one_where_numpy_is_not_found(workdir):
+    # importlib.util.find_spec("numpy") returns None here, as it does in an environment without numpy
+    def run_command(command):
+        return run_without_numpy(workdir, command, "--config", "toy_config.json", finder="not-found")
+
+    for command in ("validate-config", "run", "extract", "analyze"):
+        result = run_command(command)
+        if command == "extract":
+            assert result.returncode == 0, result.stderr
+            continue
+        assert (result.returncode, result.stdout) == (1, ""), result.stderr
+        assert result.stderr == f"error: {command} needs numpy, which cannot be imported (No module named 'numpy')\n"
+        assert (workdir / "out").exists() == (command == "analyze")
     assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted(EXTRACT_FILES)
 
 
@@ -651,6 +688,35 @@ def test_bad_vector_head_exits_two_before_any_work(workdir, command, head, error
     assert result.returncode == 2
     assert result.stderr == f"error: toy_vectors.txt: {error}\n"
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("", "empty vector stream"),
+        ("\n \n", "line 2: empty vector stream"),
+        ("5 3\n", "line 1: header declares 5 rows, the file has 0"),
+    ],
+    ids=["empty", "blank-lines", "header-only"],
+)
+def test_vector_file_without_a_data_row_exits_two_before_any_work(workdir, command, text, error):
+    # the head check ends as the loader does where the stream ends
+    with pytest.raises(VectorFormatError) as loaded:
+        load_text_vectors(io.StringIO(text))
+    assert str(loaded.value) == error
+    (workdir / "toy_vectors.txt").write_text(text, encoding="utf-8")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == f"error: toy_vectors.txt: {error}\n"
+    assert not (workdir / "out").exists()
+
+
+def test_header_only_vector_file_with_zero_rows_is_valid(workdir):
+    (workdir / "toy_vectors.txt").write_text("0 3\n", encoding="utf-8")
+    assert len(load_text_vectors(io.StringIO("0 3\n"))) == 0
+    result = run_cli(workdir, "validate-config", "--config", "toy_config.json")
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_reference_ranking_that_misses_an_inventory_lemma_exits_two_naming_its_file(workdir):

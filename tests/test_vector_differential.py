@@ -12,6 +12,7 @@ import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,9 +97,9 @@ BREAKS = ["\r", "\n"]
 # Tokens float() and the reader both accept, then ones only float()
 # accepts, then ones neither accepts.
 ODD_NUMBERS = ["-0", "+.5", "1.", "1e-400", "4.9e-324", "1E3", " 7"]
-FLOAT_ONLY = ["1_0", "１", "٣.5"]
-REFUSED = ["0x1p3", "#1", '"1"', "'1'", "1,0", "1d5", "abc", "1\x002", "--1"]
-NON_FINITE = ["nan", "-nan", "Infinity", "inf", "1e400", "-1e400"]
+FLOAT_ONLY = ["1_0", "１", "٣", "٣.5"]
+REFUSED = ["0x1p3", "#1", '"1"', "'1'", "1,0", "1d3", "1d5", "abc", "1\x002", "--1"]
+NON_FINITE = ["nan", "-nan", "Infinity", "infinity", "inf", "1e400", "-1e400"]
 WORDS = ["a", "b", "c", "città", "#w", '"q"', "1_0", "１", "w\x002"]
 
 
@@ -219,3 +220,18 @@ def test_a_refused_block_is_read_row_by_row(monkeypatch):
     first = 2 + embeddings.BLOCK_LINES  # line number of the first line of the second block
     assert calls == [1, *range(first, first + embeddings.BLOCK_LINES)]
     np.testing.assert_array_equal(store.lookup("w700"), [700.0, 1.0])
+
+
+# The row check converts with float(), the oracle by assigning to a numpy
+# array: these spellings pin that both give the same value or the same refusal.
+PINNED = ["1_0", "٣", "infinity", "1e400", "nan", "1d3"]
+
+
+@pytest.mark.parametrize("token", PINNED)
+@pytest.mark.parametrize("row", [0, 1], ids=["first-row", "in-a-block"])
+def test_row_check_converts_as_numpy_assignment_does(token, row, monkeypatch):
+    calls = counting_take_line(monkeypatch)
+    lines = ["w0 2 3\n", "w1 -1 0.5\n"]
+    lines[row] = f"w{row} {token} 1\n"
+    assert outcome(load_text_vectors, lines, None) == outcome(oracle_load_text_vectors, lines, None)
+    assert row + 1 in calls  # numpy's reader refuses a block that holds the token, so its row is checked alone
