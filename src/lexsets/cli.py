@@ -35,14 +35,11 @@ from .corpus import (
 from .errors import ConfigError, ConllParseError, InputError, LexsetsError, VectorFormatError
 from .inventory import VerbInventory, load_inventory, load_reference_ranking
 
-# Names imported on first use, each from its module: the analyze stage's numpy-backed names, so that
-# extract loads no numpy, and the process pool's, so that only a run with more than one worker loads it.
-# Callers reach them as attributes of this module, where a wrapper or fake set on the module replaces them.
+# The analyze stage's numpy-backed names, imported on first use so that extract loads no numpy. Callers
+# reach them as attributes of this module, where a wrapper set on the module replaces them.
 _LAZY_NAMES = {
     "load_text_vectors": ".embeddings",
     "analyze_lexical_sets": ".analysis",
-    "ProcessPoolExecutor": "concurrent.futures",
-    "BrokenProcessPool": "concurrent.futures.process",
 }
 
 EXIT_OK = 0
@@ -319,9 +316,12 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     else:
         # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        this = sys.modules[__name__]  # see _LAZY_NAMES
-        with this.ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
-            counts, stats = _merge_shards(shards, pool.map(_extract_shard, *arguments), (this.BrokenProcessPool,))
+        # imported here, so that only a run with more than one worker loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
+            counts, stats = _merge_shards(shards, pool.map(_extract_shard, *arguments), (BrokenProcessPool,))
 
     manifest = {
         "corpus_files": list(config.corpus_paths),

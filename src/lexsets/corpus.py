@@ -9,7 +9,6 @@ reading even when an object is present.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -108,7 +107,7 @@ class LexicalSet:
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.role not in ROLES:  # read_database accepts no other, so such a set could be written but not read back
+        if self.role not in ROLES:  # the database holds no other, so lexical_sets_from_counts refuses it here
             raise ValueError(f"unknown role {self.role!r} for verb {self.verb_lemma!r}")
 
     @property
@@ -330,8 +329,29 @@ def lexical_sets_from_counts(counts: Mapping[tuple[str, str, str], int]) -> dict
     return {key: LexicalSet(*key, fillers) for key, fillers in grouped.items()}
 
 
-def _sorted_sets(sets: Mapping[tuple[str, str], LexicalSet]) -> list[LexicalSet]:
+def _storable_sets(sets: Mapping[tuple[str, str], LexicalSet]) -> list[LexicalSet]:
+    for key, ls in sets.items():
+        _check_storable(key, ls)
     return [sets[key] for key in sorted(sets, key=lambda k: (k[0], ROLES.index(k[1])))]
+
+
+def _check_storable(key, ls: LexicalSet) -> None:
+    """ValueError unless ``ls`` is a set the database holds, under ``key``: both writers and the reader ask this."""
+    verb, role, counts = ls.verb_lemma, ls.role, ls.counts
+    if key != (verb, role):
+        raise ValueError(f"the set of verb {verb!r} role {role!r} is stored under the key {key!r}")
+    if role not in ROLES:
+        raise ValueError(f"unknown role {role!r} for verb {verb!r}")
+    if type(verb) is not str:
+        raise ValueError(f"verb {verb!r} of role {role!r} is not a string")
+    # checked at C speed; only a set that fails is searched for its first bad filler
+    if (set(map(type, counts)) <= {str} and set(map(type, counts.values())) <= {int}
+            and min(counts.values(), default=1) >= 1):
+        return
+    lemma, count = next((lemma, count) for lemma, count in counts.items()
+                        if type(lemma) is not str or type(count) is not int or count < 1)
+    raise ValueError(f"filler {lemma!r} of verb {verb!r} role {role!r} needs a string lemma and an integer count"
+                     f" of at least 1, got count {count!r}")
 
 
 def _rounded(obj):
@@ -357,15 +377,13 @@ def write_database(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) 
     indent=2)`` and a newline, where ``obj`` is the list of
     ``{"verb", "role", "fillers"}`` objects and each filler is a
     ``{"lemma", "count"}`` object. Each set is one ``stream.write``, so
-    only one set at a time is held as text. ValueError names the first
-    set whose verb is not a ``str``, or whose filler has a lemma that is
-    not a ``str`` or a count that is not an ``int`` (a ``bool`` is not).
+    only one set at a time is held as text. A set that ``read_database``
+    would refuse is a ValueError, raised before anything is written.
     """
     # not json.dumps(indent=2): any indent selects the pure-Python encoder, which is ten times slower than this
     string = json.encoder.encode_basestring
     separator = "[\n"
-    for ls in _sorted_sets(sets):
-        _check_writable(ls)
+    for ls in _storable_sets(sets):
         counts = ls.counts
         fillers = ",\n".join([f'      {{\n        "lemma": {string(lemma)},\n        "count": {counts[lemma]}\n      }}'
                               for lemma in sorted(counts)])
@@ -376,26 +394,12 @@ def write_database(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) 
     stream.write("\n]\n" if sets else "[]\n")
 
 
-def _check_writable(ls: LexicalSet) -> None:
-    """ValueError unless the verb and lemmas are ``str`` and the counts ``int``, the types ``read_database`` reads."""
-    counts = ls.counts
-    if type(ls.verb_lemma) is not str:
-        raise ValueError(f"verb {ls.verb_lemma!r} of role {ls.role!r} is not a string")
-    if set(map(type, counts)) <= {str} and set(map(type, counts.values())) <= {int}:
-        return
-    lemma, count = next((lemma, count) for lemma, count in counts.items()
-                        if type(lemma) is not str or type(count) is not int)
-    raise ValueError(f"filler {lemma!r} of verb {ls.verb_lemma!r} role {ls.role!r} needs a string lemma and"
-                     f" an integer count, got count {count!r}")
-
-
 def read_database(stream: IO[str]) -> dict[tuple[str, str], LexicalSet]:
     """Lexical sets from the JSON that ``write_database`` writes.
 
     Raises ValueError, naming the entry, for JSON that is not a list of
-    ``{"verb", "role", "fillers"}`` objects whose fillers are
-    ``{"lemma", "count"}`` objects with distinct string lemmas and
-    positive integer counts.
+    ``{"verb", "role", "fillers"}`` objects, each with a list of distinct-lemma
+    ``{"lemma", "count"}`` objects, or for a set ``write_database`` refuses.
     """
     data = json.load(stream)
     if not isinstance(data, list):
@@ -403,17 +407,14 @@ def read_database(stream: IO[str]) -> dict[tuple[str, str], LexicalSet]:
     sets: dict[tuple[str, str], LexicalSet] = {}
     for number, entry in enumerate(data, start=1):
         verb, role, fillers = _database_fields(entry, ("verb", "role", "fillers"), f"entry {number}")
-        if role not in ROLES:
-            raise ValueError(f"unknown role {role!r} for verb {verb!r}")
-        if not isinstance(verb, str) or not isinstance(fillers, list):
-            raise ValueError(f"entry {number} needs a string verb and a list of fillers")
-        counts = _filler_counts(fillers, verb, f"entry {number}")
-        if min(counts.values(), default=1) < 1:
-            raise ValueError(f"non-positive filler count for verb {verb!r}")
+        if not isinstance(fillers, list):
+            raise ValueError(f"entry {number} needs a list of fillers")
+        ls = LexicalSet(verb, role, _filler_counts(fillers, verb, f"entry {number}"))
         key = (verb, role)
+        _check_storable(key, ls)
         if key in sets:
             raise ValueError(f"duplicate database entry for {key}")
-        sets[key] = LexicalSet(verb, role, counts)
+        sets[key] = ls
     return sets
 
 
@@ -426,7 +427,7 @@ def _database_fields(item, keys: tuple[str, ...], where: str) -> list:
     return [item[key] for key in keys]
 
 
-def _filler_counts(fillers: list, verb: str, where: str) -> dict[str, int]:
+def _filler_counts(fillers: list, verb, where: str) -> dict:
     """Lemma -> count of one entry's fillers; ValueError names the first malformed or repeated filler."""
     try:
         counts = {filler["lemma"]: filler["count"] for filler in fillers}
@@ -434,24 +435,29 @@ def _filler_counts(fillers: list, verb: str, where: str) -> dict[str, int]:
         counts = None
     # Well-formed fillers, the only kind `write_database` writes, are
     # checked at C speed; anything else is checked one filler at a time.
-    if (counts is not None and len(counts) == len(fillers)
-            and set(map(type, counts)) <= {str} and set(map(type, counts.values())) <= {int}):
+    if counts is not None and len(counts) == len(fillers):
         return counts
     counts = {}
     for filler in fillers:
         lemma, count = _database_fields(filler, ("lemma", "count"), f"a filler of {where}")
-        if not isinstance(lemma, str) or isinstance(count, bool) or not isinstance(count, int):
-            raise ValueError(f"filler {lemma!r} of verb {verb!r} needs a string lemma and an integer count,"
-                             f" got count {count!r}")
+        if isinstance(lemma, (list, dict)):  # no dict holds it, so whether it repeats cannot be asked
+            raise ValueError(f"a filler of {where} has a JSON list or object as its lemma")
         if lemma in counts:
             raise ValueError(f"duplicate filler {lemma!r} for verb {verb!r}")
         counts[lemma] = count
     return counts
 
 
+def _tsv_field(text: str) -> str:
+    """``text`` quoted, its quotes doubled, iff it holds a tab, ``"``, ``\\n`` or ``\\r``: Python 3.13's csv bytes."""
+    quoted = "\t" in text or '"' in text or "\n" in text or "\r" in text
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
 def write_database_tsv(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) -> None:
-    writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
-    writer.writerow(["verb", "role", "lemma", "count"])
-    for ls in _sorted_sets(sets):
-        for lemma in sorted(ls.counts):
-            writer.writerow([ls.verb_lemma, ls.role, lemma, ls.counts[lemma]])
+    """Write the sets as ``verb role lemma count`` rows in ``write_database``'s order, one ``stream.write`` a set."""
+    ordered = _storable_sets(sets)  # every set is checked before the header is written
+    stream.write("verb\trole\tlemma\tcount\n")
+    for ls in ordered:
+        prefix = f"{_tsv_field(ls.verb_lemma)}\t{ls.role}\t"
+        stream.write("".join([f"{prefix}{_tsv_field(lemma)}\t{ls.counts[lemma]}\n" for lemma in sorted(ls.counts)]))

@@ -1,5 +1,7 @@
+import concurrent.futures
 import io
 import json
+import multiprocessing
 import os
 import shutil
 from pathlib import Path
@@ -243,6 +245,22 @@ def test_strict_error_names_file_and_line_at_every_worker_count(workdir):
     assert messages[0] == f"error: late.conllu: line {line}: non-numeric index/head ('1', 'x')\n"
 
 
+def test_nul_in_a_lemma_is_written_to_both_databases(workdir):
+    # the TSV writer quotes no NUL, as csv does from Python 3.11; csv on 3.10 raised for it after the JSON was written
+    text = (workdir / "toy.conllu").read_text(encoding="utf-8")
+    line = "2\tramo\tramo\tNOUN\t_\t_\t4\tnsubj\t_\t_\n"
+    assert text.count(line) == 1
+    (workdir / "toy.conllu").write_text(text.replace(line, line.replace("\tramo\tNOUN", "\tra\x00mo\tNOUN")),
+                                        encoding="utf-8")
+    result = run_cli(workdir, "extract", "--config", "toy_config.json")
+    assert result.returncode == 0, result.stderr
+    golden_tsv = (GOLDEN_DIR / "toy_lexsets.tsv").read_bytes()
+    assert read_out(workdir, "toy_lexsets.tsv") == golden_tsv.replace(b"rompere\tS\tramo\t", b"rompere\tS\tra\x00mo\t")
+    database = json.loads(read_out(workdir, "toy_lexsets.json"))
+    assert {"lemma": "ra\x00mo", "count": 1} in next(e["fillers"] for e in database if e["verb"] == "rompere")
+    assert (workdir / "out" / "toy_manifest.json").is_file()
+
+
 def test_undecodable_corpus_exits_two_with_path(workdir):
     (workdir / "toy.conllu").write_bytes(b"1\tcitt\xe0\tcitt\xe0\tNOUN\t_\t_\t0\troot\t_\t_\n")
     result = run_cli(workdir, "extract", "--config", "toy_config.json")
@@ -261,9 +279,13 @@ def test_dead_worker_exits_two_with_path(workdir, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: toy.conllu: a worker process stopped")
 
 
-def test_spawned_workers_match_goldens(workdir):
+# spawn is the default on macOS and Windows, forkserver on Linux from Python 3.14
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawned_workers_match_goldens(workdir, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not a start method on this platform")
     code = (
-        "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+        f"import multiprocessing, sys; multiprocessing.set_start_method({method!r}); "
         "from lexsets.cli import main; "
         "sys.exit(main(['extract', '--config', 'toy_config.json', '--workers', '2']))"
     )
@@ -294,7 +316,7 @@ def test_worker_pool_is_capped_at_usable_cpus(workdir, monkeypatch):
             return [function(*args) for args in arguments]
 
     monkeypatch.chdir(workdir)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert main(["extract", "--config", "toy_config.json", "--workers", "8"]) == 0
     assert [(pool.max_workers, pool.shards > 2) for pool in pools] == [(2, True)]
@@ -510,7 +532,8 @@ def test_vector_header_count_mismatch_names_file_and_line(workdir):
         ('{"a": 1}', "database must be a JSON list of lexical sets"),
         ('[{"verb": "rompere", "role": "S", "fillers": [', "Expecting value: line 1"),
         ('[{"verb": "rompere", "role": "S", "fillers": [{"lemma": "ramo", "count": "abc"}]}]',
-         "filler 'ramo' of verb 'rompere' needs a string lemma and an integer count, got count 'abc'"),
+         "filler 'ramo' of verb 'rompere' role 'S' needs a string lemma and an integer count of at least 1,"
+         " got count 'abc'"),
     ],
     ids=["missing-key", "not-a-list", "truncated", "string-count"],
 )

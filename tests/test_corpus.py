@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 import re
+import sys
 from collections import Counter
 import tempfile
 from pathlib import Path
@@ -430,8 +432,9 @@ AWKWARD_TEXT = st.text(
 def databases(draw):
     keys = draw(st.lists(st.tuples(st.one_of(st.sampled_from("vw"), AWKWARD_TEXT), st.sampled_from(corpus.ROLES)),
                          unique=True, max_size=6))
-    # any int, as json.dump writes it: zero, negative and past 2**63 included
-    return {key: LexicalSet(*key, draw(st.dictionaries(AWKWARD_TEXT, st.integers(), max_size=5))) for key in keys}
+    # any count the database holds, past 2**63 included; the refusal test below covers zero and negative counts
+    return {key: LexicalSet(*key, draw(st.dictionaries(AWKWARD_TEXT, st.integers(min_value=1), max_size=5)))
+            for key in keys}
 
 
 @settings(max_examples=300)
@@ -452,22 +455,72 @@ def test_write_database_writes_the_bytes_of_one_json_dump(sets):
     assert written.getvalue() == expected.getvalue() + "\n"
 
 
+def tsv_rule_field(text):
+    # the stated rule: quoted, its quotes doubled, exactly when it holds a tab, a quote, \n or \r
+    return '"' + text.replace('"', '""') + '"' if re.search('[\t"\n\r]', text) else text
+
+
+@settings(max_examples=300)
+@given(databases())
+@example({("v", "O"): LexicalSet("v", "O", {"a\rb": 1, "a\r\nb": 2, "\r": 3})})
+def test_write_database_tsv_quotes_as_the_csv_module_does(sets):
+    rows = [[verb, role, lemma, str(count)]
+            for verb, role in sorted(sets, key=lambda key: (key[0], corpus.ROLES.index(key[1])))
+            for lemma, count in sorted(sets[verb, role].counts.items())]
+    expected = io.StringIO()
+    writer = csv.writer(expected, delimiter="\t", lineterminator="\n")
+    writer.writerow(["verb", "role", "lemma", "count"])
+    for row in rows:
+        # csv quotes a lone \r only from Python 3.13, and before 3.11 refuses a NUL: such rows get the stated rule
+        if any("\r" in text or ("\x00" in text and sys.version_info < (3, 11)) for text in row):
+            expected.write("\t".join(map(tsv_rule_field, row)) + "\n")
+        else:
+            writer.writerow(row)
+    written = io.StringIO()
+    write_database_tsv(sets, written)
+    assert written.getvalue() == expected.getvalue()
+
+
+def test_write_database_tsv_writes_the_same_bytes_on_every_python():
+    sets = {("v", "O"): LexicalSet("v", "O", {"a\rb": 1, "c\td": 2, 'e"f': 3, "g\nh": 4, "x\x00y": 5}),
+            ('q"v', "S"): LexicalSet('q"v', "S", {"z": 6})}
+    written = io.StringIO()
+    write_database_tsv(sets, written)
+    assert written.getvalue().encode("utf-8") == (
+        b'verb\trole\tlemma\tcount\n"q""v"\tS\tz\t6\n'
+        b'v\tO\t"a\rb"\t1\nv\tO\t"c\td"\t2\nv\tO\t"e""f"\t3\nv\tO\t"g\nh"\t4\nv\tO\tx\x00y\t5\n'
+    )
+
+
 @pytest.mark.parametrize(
-    "verb,counts,message",
+    "key,ls,message",
     [
-        ("v", {"a": 1, "b": True},
-         "filler 'b' of verb 'v' role 'O' needs a string lemma and an integer count, got count True"),
-        ("v", {"a": 1.0}, "filler 'a' of verb 'v' role 'O' needs .* got count 1.0"),
-        ("v", {"a": 2, 5: 1}, "filler 5 of verb 'v' role 'O' needs .* got count 1"),
-        ("v", {None: 1}, "filler None of verb 'v' role 'O' needs .* got count 1"),
-        (5, {"a": 1}, "verb 5 of role 'O' is not a string"),
+        (("v", "O"), LexicalSet("v", "O", {"a": 1, "b": True}),
+         "filler 'b' of verb 'v' role 'O' needs a string lemma and an integer count of at least 1, got count True"),
+        (("v", "O"), LexicalSet("v", "O", {"a": 1.0}), "filler 'a' of verb 'v' role 'O' needs .* got count 1.0"),
+        (("v", "O"), LexicalSet("v", "O", {"a": 2, 5: 1}), "filler 5 of verb 'v' role 'O' needs .* got count 1"),
+        (("v", "O"), LexicalSet("v", "O", {None: 1}), "filler None of verb 'v' role 'O' needs .* got count 1"),
+        ((5, "O"), LexicalSet(5, "O", {"a": 1}), "verb 5 of role 'O' is not a string"),
+        (("v", "O"), LexicalSet("v", "O", {"a": 1, "b": 0}), "filler 'b' of verb 'v' role 'O' needs .* got count 0"),
+        (("v", "O"), LexicalSet("v", "O", {"a": -1}), "filler 'a' of verb 'v' role 'O' needs .* got count -1"),
+        (("w", "O"), LexicalSet("v", "O", {"a": 1}),
+         re.escape("the set of verb 'v' role 'O' is stored under the key ('w', 'O')")),
+        (("v", "S"), LexicalSet("v", "O", {"a": 1}),
+         re.escape("the set of verb 'v' role 'O' is stored under the key ('v', 'S')")),
+        (("v", "X"), LexicalSet("v", "O", {"a": 1}),
+         re.escape("the set of verb 'v' role 'O' is stored under the key ('v', 'X')")),
     ],
-    ids=["bool-count", "float-count", "int-lemma", "none-lemma", "int-verb"],
+    ids=["bool-count", "float-count", "int-lemma", "none-lemma", "int-verb", "zero-count", "negative-count",
+         "other-verb-key", "other-role-key", "unknown-role-key"],
 )
-def test_write_database_refuses_what_read_database_refuses(verb, counts, message):
-    # json.dump writes each of these, and read_database then rejects it
-    with pytest.raises(ValueError, match=message):
-        write_database({(verb, "O"): LexicalSet(verb, "O", counts)}, io.StringIO())
+def test_write_database_refuses_what_read_database_refuses(key, ls, message):
+    # json.dump and csv.writer write each of these, and read_database then rejects it or, for a key
+    # that is not the set's own, reads it back under another key; neither writer writes a byte of it
+    for writer in (write_database, write_database_tsv):
+        written = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            writer({("a", "S"): LexicalSet("a", "S", {"x": 1}), key: ls}, written)
+        assert written.getvalue() == "", writer.__name__
 
 
 def test_write_database_refuses_a_numpy_integer_count():
@@ -669,17 +722,21 @@ def test_read_database_rejects_bad_role():
         ('{"verb": "v"}', "database must be a JSON list"),
         ('[["v", "S", []]]', "entry 1 is not a JSON object"),
         ('[{"verb": "v", "fillers": []}]', "entry 1 has no 'role' field"),
-        ('[{"verb": "v", "role": "S", "fillers": {}}]', "entry 1 needs a string verb and a list of fillers"),
-        ('[{"verb": 3, "role": "S", "fillers": []}]', "entry 1 needs a string verb"),
+        ('[{"verb": "v", "role": "S", "fillers": {}}]', "entry 1 needs a list of fillers"),
+        ('[{"verb": 3, "role": "S", "fillers": []}]', "verb 3 of role 'S' is not a string"),
         ('[{"verb": "v", "role": "S", "fillers": ["a"]}]', "a filler of entry 1 is not a JSON object"),
         ('[{"verb": "v", "role": "S", "fillers": [{"count": 1}]}]', "a filler of entry 1 has no 'lemma' field"),
-        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 1.5}]}]', "an integer count, got count 1.5"),
-        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": true}]}]', "an integer count, got count True"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 1.5}]}]',
+         "an integer count of at least 1, got count 1.5"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": true}]}]',
+         "an integer count of at least 1, got count True"),
         ('[{"verb": "v", "role": "S", "fillers": [{"lemma": 7, "count": 1}]}]', "needs a string lemma"),
-        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": ["a"], "count": 1}]}]', "needs a string lemma"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": ["a"], "count": 1}]}]',
+         "a filler of entry 1 has a JSON list or object as its lemma"),
         ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 2}, {"lemma": "a", "count": 5}]}]',
          "duplicate filler 'a' for verb 'v'"),
-        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 0}]}]', "non-positive filler count"),
+        ('[{"verb": "v", "role": "S", "fillers": [{"lemma": "a", "count": 0}]}]',
+         "filler 'a' of verb 'v' role 'S' needs a string lemma and an integer count of at least 1, got count 0"),
         ('[{"verb": "v", "role": "S", "fillers": []}, {"verb": "v", "role": "S", "fillers": []}]',
          "duplicate database entry for ('v', 'S')"),
     ],
