@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from importlib import import_module
 from itertools import repeat
@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .corpus import (
     ExtractionRules,
+    LexicalSet,
     ParseStats,
     count_fillers,
     json_text,
@@ -267,43 +268,53 @@ def _lines_before(path: str, offset: int) -> int:
 
 
 def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rules: ExtractionRules,
-                   strict: bool) -> tuple[Counter, ParseStats]:
-    """Parse bytes ``[start, end)`` of one corpus file and count the fillers of its sentences.
+                   strict: bool) -> tuple[dict[tuple[str, str], LexicalSet], ParseStats]:
+    """Parse bytes ``[start, end)`` of one corpus file and build the lexical sets of its sentences.
 
-    Returns the filler counts and the parse statistics, which count the
+    Returns the sets, built from the filler counts by :func:`lexical_sets_from_counts`
+    as in the library route, and the parse statistics, which count the
     sentences dropped by the length filter.
     The range must start and end at cuts made by :func:`_cut_ranges`,
-    so summing the results of a file's ranges equals one serial pass.
+    so merging the results of a file's ranges equals one serial pass.
     A parse error names the file and its line in the whole file.
     """
-    def count(stream) -> tuple[Counter, ParseStats]:
+    def extract(stream) -> tuple[dict[tuple[str, str], LexicalSet], ParseStats]:
         stats = ParseStats()
-        return count_fillers(parse_conll(stream, strict=strict, stats=stats), targets, rules, stats), stats
+        counts = count_fillers(parse_conll(stream, strict=strict, stats=stats), targets, rules, stats)
+        return lexical_sets_from_counts(counts), stats
 
-    return _read_input(path, count, start, end)
+    return _read_input(path, extract, start, end)
 
 
-def _merge_shards(shards: list[tuple[str, int, int]], results,
-                  worker_died: tuple[type[Exception], ...] = ()) -> tuple[Counter, ParseStats]:
-    """Sum the shard results in shard order, naming the corpus file of a shard whose worker died.
+def _merge_shards(shards: list[tuple[str, int, int]], results, worker_died: tuple[type[Exception], ...] = ()
+                  ) -> tuple[dict[tuple[str, str], LexicalSet], ParseStats]:
+    """Merge the shard results in shard order, naming the corpus file of a shard whose worker died.
 
+    A slot keeps the set of the first shard that has it; each later set of
+    that slot adds its counts lemma by lemma, as ``Counter.update`` adds them.
     ``worker_died`` holds the exceptions that ``results`` raises for a dead worker (none in process).
     """
-    counts: Counter = Counter()
+    sets: dict[tuple[str, str], LexicalSet] = {}
     stats = ParseStats()
     results = iter(results)
     for path, _, _ in shards:
         try:
-            shard_counts, shard_stats = next(results)
+            shard_sets, shard_stats = next(results)
         except worker_died as exc:
             raise InputError(f"{path}: a worker process stopped before its shard was done ({exc})") from None
-        counts.update(shard_counts)
+        for key, shard_set in shard_sets.items():
+            merged = sets.setdefault(key, shard_set)
+            if merged is not shard_set:
+                counts = merged.counts
+                for lemma, count in shard_set.counts.items():
+                    counts[lemma] = counts.get(lemma, 0) + count
         stats.update(shard_stats)
-    return counts, stats
+        del shard_sets  # dropped once merged, before the next shard is taken
+    return sets, stats
 
 
 def _run_extraction(config: RunConfig, targets: frozenset[str]):
-    """Extract every corpus file as ``worker_count`` byte-range shards; one shard runs in process at 1."""
+    """Extract every corpus file as ``worker_count`` byte-range shards; they run in process when one process would."""
     workers = config.worker_count
     shards = [
         (path, start, end)
@@ -311,27 +322,29 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
         for start, end in _cut_ranges(path, (os.path.getsize(path) * i // workers for i in range(1, workers)))
     ]
     arguments = (*zip(*shards), repeat(targets), repeat(config.rules), repeat(config.strict_parsing))
-    if workers == 1:
-        counts, stats = _merge_shards(shards, map(_extract_shard, *arguments))
-    else:
-        # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        # imported here, so that only a run with more than one worker loads the process pool
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(workers, cpus, len(shards))
+    with ExitStack() as stack:
+        run, worker_died = map, ()
+        if processes > 1:
+            # imported here, so that only a run that starts a pool loads it
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=min(workers, cpus, len(shards))) as pool:
-            counts, stats = _merge_shards(shards, pool.map(_extract_shard, *arguments), (BrokenProcessPool,))
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map
+            worker_died = (BrokenProcessPool,)
+        sets, stats = _merge_shards(shards, run(_extract_shard, *arguments), worker_died)
 
     manifest = {
         "corpus_files": list(config.corpus_paths),
         **stats.as_dict(),
         "sentences_processed": stats.sentences_parsed - stats.sentences_filtered_by_length,
-        "filler_records": int(sum(counts.values())),
+        "filler_records": sum(ls.total_count for ls in sets.values()),
         "target_verbs": sorted(targets),
         "rules": config.rules.to_dict(),
     }
-    return lexical_sets_from_counts(counts), manifest
+    return sets, manifest
 
 
 # Each command checks its inputs once, in _prepare, then runs the stage bodies on the inventory it returns.

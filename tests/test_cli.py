@@ -274,6 +274,7 @@ def _die(*args):
 
 def test_dead_worker_exits_two_with_path(workdir, monkeypatch, capsys):
     monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool, not in process
     monkeypatch.setattr(cli, "_extract_shard", _die)
     assert main(["extract", "--config", "toy_config.json", "--workers", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: toy.conllu: a worker process stopped")
@@ -322,6 +323,35 @@ def test_worker_pool_is_capped_at_usable_cpus(workdir, monkeypatch):
     assert [(pool.max_workers, pool.shards > 2) for pool in pools] == [(2, True)]
     for name in EXTRACT_FILES:
         assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a run that one process can do started a process pool")
+
+
+def test_one_usable_cpu_runs_in_process(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["extract", "--config", "toy_config.json", "--workers", "8"]) == 0
+    for name in EXTRACT_FILES:
+        assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_one_range_runs_in_process(workdir, monkeypatch):
+    (workdir / "toy.conllu").write_text(
+        "1\tLuca\tLuca\tPROPN\t_\t_\t2\tnsubj\t_\t_\n"
+        "2\tapre\taprire\tVERB\t_\t_\t0\troot\t_\t_\n"
+        "3\tporta\tporta\tNOUN\t_\t_\t2\tdobj\t_\t_\n", encoding="utf-8")
+    monkeypatch.chdir(workdir)
+    assert main(["extract", "--config", "toy_config.json"]) == 0
+    serial = {name: read_out(workdir, name) for name in EXTRACT_FILES}
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["extract", "--config", "toy_config.json", "--workers", "2"]) == 0
+    assert {name: read_out(workdir, name) for name in EXTRACT_FILES} == serial
+    assert json.loads(serial["toy_manifest.json"])["filler_records"] == 1
 
 
 def test_failed_write_leaves_no_database(workdir, monkeypatch, capsys):

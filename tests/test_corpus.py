@@ -616,7 +616,39 @@ def test_byte_range_shards_equal_a_serial_pass(data, fractions, strict):
                 shards, (_extract_shard(*shard, SHARD_TARGETS, SHARD_RULES, strict) for shard in shards)
             )
 
-        assert _outcome(sharded) == _outcome(lambda: _serial_pass(path, strict))
+        def serial():
+            counts, stats = _serial_pass(path, strict)
+            return lexical_sets_from_counts(counts), stats
+
+        assert _outcome(sharded) == _outcome(serial)
+
+
+def test_a_whole_file_shard_is_the_library_route():
+    rules = ExtractionRules(max_sentence_length=15)
+    with open(DATA_DIR / "toy_inventory.json", encoding="utf-8") as stream:
+        targets = frozenset(load_inventory(stream).lemmas)
+    path = str(DATA_DIR / "toy.conllu")
+    stats = ParseStats()
+    with open(path, encoding="utf-8") as stream:
+        counts = count_fillers(parse_conll(stream, strict=False, stats=stats), targets, rules, stats)
+    shard = _extract_shard(path, 0, Path(path).stat().st_size, targets, rules, False)
+    assert shard == (lexical_sets_from_counts(counts), stats)
+
+
+def test_merge_shards_adds_counts_by_lemma_and_keeps_every_slot():
+    shards = [("a.conllu", 0, 5), ("a.conllu", 5, 9), ("b.conllu", 0, 4)]
+    results = [
+        ({("v", "O"): LexicalSet("v", "O", {"porta": 2, "vetro": 1})}, ParseStats(sentences_parsed=3)),
+        ({("v", "O"): LexicalSet("v", "O", {"porta": 1, "ramo": 4}), ("w", "S"): LexicalSet("w", "S", {"si": 1})},
+         ParseStats(sentences_parsed=2, malformed_lines=1)),
+        ({}, ParseStats(sentences_parsed=1, sentences_filtered_by_length=1)),
+    ]
+    sets, stats = _merge_shards(shards, results)
+    assert sets == {
+        ("v", "O"): LexicalSet("v", "O", {"porta": 3, "vetro": 1, "ramo": 4}),
+        ("w", "S"): LexicalSet("w", "S", {"si": 1}),
+    }
+    assert stats == ParseStats(sentences_parsed=6, malformed_lines=1, sentences_filtered_by_length=1)
 
 
 def test_cut_ranges_align_to_blank_lines(tmp_path):
