@@ -448,9 +448,9 @@ def _filler_counts(fillers: list, verb, where: str) -> dict:
     return counts
 
 
-def _tsv_field(text: str) -> str:
-    """``text`` quoted, its quotes doubled, iff it holds a tab, ``"``, ``\\n`` or ``\\r``: Python 3.13's csv bytes."""
-    quoted = "\t" in text or '"' in text or "\n" in text or "\r" in text
+def _delimited_field(text: str, delimiter: str) -> str:
+    """``text`` quoted, its quotes doubled, iff it holds ``delimiter``, ``"``, ``\\n`` or ``\\r``, as 3.13's csv does."""
+    quoted = delimiter in text or '"' in text or "\n" in text or "\r" in text
     return '"' + text.replace('"', '""') + '"' if quoted else text
 
 
@@ -458,6 +458,8 @@ def write_database_tsv(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[st
     """Write the sets as ``verb role lemma count`` rows in ``write_database``'s order, one ``stream.write`` a set."""
     ordered = _storable_sets(sets)  # every set is checked before the header is written
     stream.write("verb\trole\tlemma\tcount\n")
+    tab = "\t"  # a backslash inside an f-string's braces is a SyntaxError before Python 3.12
     for ls in ordered:
-        prefix = f"{_tsv_field(ls.verb_lemma)}\t{ls.role}\t"
-        stream.write("".join([f"{prefix}{_tsv_field(lemma)}\t{ls.counts[lemma]}\n" for lemma in sorted(ls.counts)]))
+        prefix = f"{_delimited_field(ls.verb_lemma, tab)}\t{ls.role}\t"
+        stream.write("".join([f"{prefix}{_delimited_field(lemma, tab)}\t{ls.counts[lemma]}\n"
+                              for lemma in sorted(ls.counts)]))

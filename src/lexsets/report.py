@@ -7,15 +7,13 @@ artifacts, which makes the outputs diffable and testable as golden files.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import astuple, dataclass, fields
 from numbers import Real
 from typing import Mapping, Sequence
 
 from .analysis import AnalysisResult, VerbResult
-from .corpus import ROLE_O, ROLE_S, ROLES, _FLOAT_DECIMALS, _rounded, json_text
+from .corpus import ROLE_O, ROLE_S, ROLES, _FLOAT_DECIMALS, _delimited_field, json_text
 from .errors import PlotSpecError
 from .geometry import COVERAGE_FIELDS, BoxStats
 
@@ -107,7 +105,7 @@ class _Canvas:
 
 
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def _line(x1, y1, x2, y2, stroke: str = "#333333", width: int = 1) -> str:
@@ -251,11 +249,10 @@ def _csv_cell(value) -> str:
 
 def _table(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, list[dict]]:
     """CSV text of ``rows`` and the same rows cut to ``columns``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_cell(row.get(column)) for column in columns] for row in rows)
-    return buffer.getvalue(), [{column: row.get(column) for column in columns} for row in rows]
+    blank = '""' if len(columns) == 1 else ""  # csv writes a lone empty cell as "", so its row is no blank line
+    lines = [",".join([_delimited_field(_csv_cell(value), ",") for value in values]) or blank
+             for values in [columns, *([row.get(column) for column in columns] for row in rows)]]
+    return "\n".join(lines) + "\n", [{column: row.get(column) for column in columns} for row in rows]
 
 
 def emit_tables(rows: Sequence[Mapping], columns: Sequence[str]) -> tuple[str, str]:

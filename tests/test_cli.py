@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import io
 import json
 import multiprocessing
@@ -366,6 +367,21 @@ def test_failed_write_leaves_no_database(workdir, monkeypatch, capsys):
     assert sorted(p.name for p in (workdir / "out").iterdir()) == []
 
 
+def test_glosses_holding_csv_syntax_read_back_as_one_field(workdir, monkeypatch):
+    path = workdir / "toy_inventory.json"
+    inventory = json.loads(path.read_text(encoding="utf-8"))
+    inventory[0]["gloss"], inventory[1]["gloss"] = "close\rshut", 'open, "unlock"'
+    path.write_text(json.dumps(inventory), encoding="utf-8")
+    monkeypatch.chdir(workdir)
+    assert main(["run", "--config", "toy_config.json"]) == 0
+    with open(workdir / "out" / "toy_analysis.csv", newline="", encoding="utf-8") as stream:
+        rows = list(csv.reader(stream))
+    assert [len(row) for row in rows] == [10] * 5
+    glosses = {entry["lemma"]: entry["gloss"] for entry in inventory}
+    assert [row[1] for row in rows[1:]] == [glosses[row[0]] for row in rows[1:]]
+    assert {"close\rshut", 'open, "unlock"'} <= {row[1] for row in rows}
+
+
 POOL_PACKAGES = ("concurrent", "multiprocessing")
 
 
@@ -374,7 +390,7 @@ POOL_PACKAGES = ("concurrent", "multiprocessing")
     pytest.param("extract", ["--workers", "1"], ("numpy", *POOL_PACKAGES), id="1"),
     pytest.param("extract", ["--workers", "2"], ("numpy",), id="2"),
     pytest.param("validate-config", [], ("numpy", *POOL_PACKAGES), id="validate-config"),
-    pytest.param("analyze", [], POOL_PACKAGES, id="analyze"),
+    pytest.param("analyze", [], ("csv", *POOL_PACKAGES), id="analyze"),
 ])
 def test_extract_does_not_import_numpy(workdir, command, flags, absent):
     if command == "analyze":

@@ -30,6 +30,7 @@ from lexsets.corpus import (
 )
 from lexsets.errors import ConllParseError
 from lexsets.inventory import load_inventory
+from lexsets.report import emit_tables
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -422,9 +423,10 @@ def test_library_route_writes_the_golden_database():
 
 # --- write_database ------------------------------------------------------
 
-# JSON escapes some of these, passes others through raw (ensure_ascii=False), and U+2028 ends a line in some readers
+# JSON escapes some of these, passes others through raw (ensure_ascii=False), and U+2028 ends a line in some readers;
+# the CSV tables quote a comma
 AWKWARD_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028\u2029é文😀'), st.characters()), max_size=6
+    st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028\u2029é文😀,'), st.characters()), max_size=6
 )
 
 
@@ -455,9 +457,22 @@ def test_write_database_writes_the_bytes_of_one_json_dump(sets):
     assert written.getvalue() == expected.getvalue() + "\n"
 
 
-def tsv_rule_field(text):
-    # the stated rule: quoted, its quotes doubled, exactly when it holds a tab, a quote, \n or \r
-    return '"' + text.replace('"', '""') + '"' if re.search('[\t"\n\r]', text) else text
+def rule_field(text, delimiter):
+    # the stated rule: quoted, its quotes doubled, exactly when it holds the delimiter, a quote, \n or \r
+    return '"' + text.replace('"', '""') + '"' if re.search(f'[{delimiter}"\n\r]', text) else text
+
+
+def csv_module_text(rows, delimiter):
+    """``rows`` as ``csv.writer`` writes them, each line ended by \\n, or by the stated rule where its csv is older."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, delimiter=delimiter, lineterminator="\n")
+    for row in rows:
+        # csv quotes a lone \r only from Python 3.13, and before 3.11 refuses a NUL: such rows get the stated rule
+        if any("\r" in text or ("\x00" in text and sys.version_info < (3, 11)) for text in row):
+            expected.write(delimiter.join([rule_field(text, delimiter) for text in row]) + "\n")
+        else:
+            writer.writerow(row)
+    return expected.getvalue()
 
 
 @settings(max_examples=300)
@@ -467,18 +482,9 @@ def test_write_database_tsv_quotes_as_the_csv_module_does(sets):
     rows = [[verb, role, lemma, str(count)]
             for verb, role in sorted(sets, key=lambda key: (key[0], corpus.ROLES.index(key[1])))
             for lemma, count in sorted(sets[verb, role].counts.items())]
-    expected = io.StringIO()
-    writer = csv.writer(expected, delimiter="\t", lineterminator="\n")
-    writer.writerow(["verb", "role", "lemma", "count"])
-    for row in rows:
-        # csv quotes a lone \r only from Python 3.13, and before 3.11 refuses a NUL: such rows get the stated rule
-        if any("\r" in text or ("\x00" in text and sys.version_info < (3, 11)) for text in row):
-            expected.write("\t".join(map(tsv_rule_field, row)) + "\n")
-        else:
-            writer.writerow(row)
     written = io.StringIO()
     write_database_tsv(sets, written)
-    assert written.getvalue() == expected.getvalue()
+    assert written.getvalue() == csv_module_text([["verb", "role", "lemma", "count"], *rows], "\t")
 
 
 def test_write_database_tsv_writes_the_same_bytes_on_every_python():
@@ -490,6 +496,30 @@ def test_write_database_tsv_writes_the_same_bytes_on_every_python():
         b'verb\trole\tlemma\tcount\n"q""v"\tS\tz\t6\n'
         b'v\tO\t"a\rb"\t1\nv\tO\t"c\td"\t2\nv\tO\t"e""f"\t3\nv\tO\t"g\nh"\t4\nv\tO\tx\x00y\t5\n'
     )
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.lists(AWKWARD_TEXT, unique=True, max_size=3))
+    return columns, draw(st.lists(st.fixed_dictionaries({}, optional=dict.fromkeys(columns, AWKWARD_TEXT)), max_size=4))
+
+
+# the report tables quote by the TSV's rule with a comma for the tab; a missing cell is an empty field
+@settings(max_examples=300)
+@given(tables())
+@example((["a"], [{}, {"a": ""}]))  # a lone empty cell is written "", as csv writes it, not as a blank line
+@example(([], [{}, {}]))  # a table of no columns is one empty line a row
+@example((["a", "b"], [{"a": "x\ry", "b": "1,2"}]))
+def test_emit_tables_quotes_as_the_csv_module_does(table):
+    columns, rows = table
+    csv_text, _ = emit_tables(rows, columns)
+    assert csv_text == csv_module_text([columns, *([row.get(column, "") for column in columns] for row in rows)], ",")
+
+
+def test_emit_tables_writes_the_same_csv_bytes_on_every_python():
+    rows = [{"a": "a\rb", 'q"b': "c,d"}, {"a": 'e"f', 'q"b': "g\nh"}, {"a": "x\x00y"}, {}]
+    csv_text, _ = emit_tables(rows, ["a", 'q"b'])
+    assert csv_text.encode("utf-8") == b'a,"q""b"\n"a\rb","c,d"\n"e""f","g\nh"\nx\x00y,\n,\n'
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,16 @@ def test_single_box_renders_one_box_group():
     ET.fromstring(svg)
 
 
+def test_markup_in_a_label_and_a_title_parses_back():
+    label, title = 'a"b&c<d', 'say "x" & <y>'
+    svg = render_svg(PlotSpec(kind="box_whisker_panel", title=title, series=[(label, sample_box())]))
+    root = ET.fromstring(svg)
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    assert [group.get("data-label") for group in root.iter(f"{svg_ns}g")] == [label]
+    texts = [text.text for text in root.iter(f"{svg_ns}text")]
+    assert texts[0] == title and label in texts
+
+
 def test_rendering_is_deterministic():
     spec = PlotSpec(
         kind="box_whisker_panel",
