@@ -17,7 +17,6 @@ import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
-from importlib import import_module
 from itertools import repeat
 from pathlib import Path
 
@@ -36,23 +35,16 @@ from .corpus import (
 from .errors import ConfigError, ConllParseError, InputError, LexsetsError, VectorFormatError
 from .inventory import VerbInventory, load_inventory, load_reference_ranking
 
-# The analyze stage's numpy-backed names, imported on first use so that extract loads no numpy. Callers
-# reach them as attributes of this module, where a wrapper set on the module replaces them.
-_LAZY_NAMES = {
-    "load_text_vectors": ".embeddings",
-    "analyze_lexical_sets": ".analysis",
-}
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
 
+# _analyze reaches the numpy-backed load_text_vectors and analyze_lexical_sets as attributes of this module, where
+# a wrapper set on the module replaces them. The package imports them on first use, and resolves its exports only.
 def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(_LAZY_NAMES[name], __package__), name)
+    return sys.modules[__package__].__getattr__(name)
 
 
 @dataclass
@@ -144,12 +136,12 @@ def _read_input(path: str, read, start: int = 0, end: int | None = None):
 
 
 def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
-    """Check a command's inputs before any work: every file exists, then the inventory, then the vector head.
+    """Check a command's inputs before any work: every file exists, then the inventory, then the vector file.
 
     ``paths`` are the command's own inputs, and no two of its corpus entries may name one file.
     One error names every missing file, a line each, before any is opened.
-    Of the vector file, when ``paths`` holds it, only the header and first data row are read,
-    after checking that numpy, which the commands that read vectors need, is installed.
+    Then, when ``paths`` holds the vector file and numpy, which the commands that read vectors need,
+    is installed, that file's head is checked as the loader checks it and its other rows are counted.
     """
     inputs = [*paths, config.inventory_path, config.reference_ranking_path]
     missing = [path for path in inputs if path and not Path(path).is_file()]
@@ -171,7 +163,7 @@ def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
             raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
         from .vectorfile import _VectorReader
 
-        _read_input(config.vectors_path, _VectorReader(()).take_head)
+        _read_input(config.vectors_path, _VectorReader(()).check)
     return inventory
 
 
@@ -385,7 +377,7 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str,
     """Analyse the database; with ``manifest_path``, first check it against that extract manifest."""
     from . import report
 
-    this = sys.modules[__name__]  # see _LAZY_NAMES
+    this = sys.modules[__name__]  # see __getattr__
     sets = _read_input(database_path, read_database)
     if manifest_path:
         _check_extract_manifest(manifest_path, database_path, sum(ls.total_count for ls in sets.values()))

@@ -1,17 +1,13 @@
-"""Word-vector store: text-format loading, lookup, cosine metrics."""
+"""Word-vector store: lookup and cosine metrics, over the rows that ``lexsets.vectorfile`` reads."""
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DegenerateVectorError, DimensionMismatchError
 from .vectorfile import _VectorReader
-
-#: Data lines after the first that ``load_text_vectors`` hands to numpy's text reader at a time.
-BLOCK_LINES = 512
 
 
 class EmbeddingStore:
@@ -85,20 +81,12 @@ def load_text_vectors(stream: Iterable[str], *, vocabulary: Collection[str] | No
     held, and ``stats()`` describes the whole stream.
 
     After the first data line, the lines are read in blocks of
-    ``BLOCK_LINES`` and each block is parsed by numpy's text reader. A
+    ``lexsets.vectorfile.BLOCK_LINES`` and each block is parsed by numpy's text reader. A
     block the reader refuses, or whose values are not all finite, is
     read again one row at a time, which accepts every spelling
     ``float()`` does and raises the error of its first bad line.
     """
-    reader = _VectorReader(vocabulary)
-    lines = iter(stream)
-    line_number = reader.take_head(lines)
-    while block := list(islice(lines, BLOCK_LINES)):
-        if not reader.take_block(block):
-            for offset, raw_line in enumerate(block, start=1):
-                reader.take_line(raw_line, line_number + offset)
-        line_number += len(block)
-    return EmbeddingStore.__new__(EmbeddingStore)._hold(*reader.finish(line_number))
+    return EmbeddingStore.__new__(EmbeddingStore)._hold(*_VectorReader(vocabulary).read(stream))
 
 
 def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:

@@ -1,24 +1,28 @@
-"""The text vector format, read row by row: the checker of every row, which needs no numpy.
+"""The text vector format: the one pass that reads a vector file, and the checker of every row, which needs no numpy.
 
 numpy is imported only where rows become arrays: in a block handed to its
 text reader, once a row is held, and when the held rows are finished. A
-pass that holds no row, such as the CLI's check of a vector file's head,
-loads no numpy.
+pass that holds no row, such as the CLI's check of a vector file before
+any work, loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Collection, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from .errors import VectorFormatError
 
 if TYPE_CHECKING:
     import numpy as np
 
+#: Data lines after the first that :meth:`_VectorReader.read` hands to numpy's text reader at a time.
+BLOCK_LINES = 512
+
 
 class _VectorReader:
-    """The state of one ``load_text_vectors`` pass: the rows held so far and the counts of the stream."""
+    """The state of one pass over a vector file: the rows held so far and the counts of the stream."""
 
     def __init__(self, vocabulary: Collection[str] | None):
         self.vocabulary = vocabulary
@@ -31,19 +35,43 @@ class _VectorReader:
         self.duplicates = 0
 
     def take_head(self, lines: Iterator[str]) -> int:
-        """Take lines up to and including the first data row, leaving the rest unread; return how many were taken.
-
-        A stream that ends inside the head gets the end-of-stream check of :meth:`finish`.
-        """
+        """Take lines up to and including the first data row, leaving the rest unread; return how many were taken."""
         line_number = 0
         for raw_line in lines:
             line_number += 1
             self.take_line(raw_line, line_number)
             if self.data_rows:
                 break
-        else:
-            self.check_end(line_number)
         return line_number
+
+    def read(self, lines: Iterable[str]) -> tuple[np.ndarray, dict[str, int], int, int]:
+        """Check every line, the head alone, then blocks of ``BLOCK_LINES``, a refused block line by line.
+
+        Returns ``EmbeddingStore._hold``'s arguments: ``(matrix, word -> row, duplicates, entries)``.
+        """
+        lines = iter(lines)
+        line_number = self.take_head(lines)
+        while block := list(islice(lines, BLOCK_LINES)):
+            if not self.take_block(block):
+                for offset, raw_line in enumerate(block, start=1):
+                    self.take_line(raw_line, line_number + offset)
+            line_number += len(block)
+        self.check_end(line_number)
+        if self.matrix is None:
+            import numpy as np
+
+            self.matrix = np.empty((0, self.dimension))
+        self.matrix.resize((len(self.rows), self.dimension), refcheck=False)
+        return self.matrix, self.rows, self.duplicates, len(self.rows) + len(self.unheld)
+
+    def check(self, lines: Iterable[str]) -> None:
+        """Check the head, count each later line that is not blank as a data row, and end as :meth:`read` ends."""
+        lines = iter(lines)
+        line_number = self.take_head(lines)
+        for line_number, raw_line in enumerate(lines, start=line_number + 1):
+            if raw_line.strip():  # the blank test of take_line
+                self.data_rows += 1
+        self.check_end(line_number)
 
     def take_line(self, raw_line: str, line_number: int) -> None:
         """Check one line and hold its row if the word is new and wanted; the checker of record.
@@ -141,7 +169,7 @@ class _VectorReader:
 
         held = len(self.rows)
         # No view of the matrix outlives a call, so the resizes here and in
-        # `finish` skip numpy's reference check.
+        # `read` skip numpy's reference check.
         if self.matrix is None:
             self.matrix = np.empty((1024 if self.vocabulary is None else len(self.vocabulary), self.dimension))
         if held > len(self.matrix):
@@ -156,18 +184,3 @@ class _VectorReader:
             raise VectorFormatError(
                 f"header declares {self.declared[0]} rows, the file has {self.data_rows}", self.declared[1]
             )
-
-    def finish(self, line_count: int) -> tuple[np.ndarray, dict[str, int], int, int]:
-        """The held rows as ``(matrix, word -> row, duplicates, entries)``, after the last of ``line_count`` lines.
-
-        The tuple is the arguments of ``EmbeddingStore._hold``.
-        """
-        self.check_end(line_count)
-        import numpy as np
-
-        matrix = self.matrix
-        if matrix is None:
-            matrix = np.empty((0, self.dimension))
-        else:
-            matrix.resize((len(self.rows), self.dimension), refcheck=False)
-        return matrix, self.rows, self.duplicates, len(self.rows) + len(self.unheld)

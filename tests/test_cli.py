@@ -516,6 +516,7 @@ def test_analyze_calls_the_vector_loader_and_analysis_set_on_the_cli_module(work
             return function(*args, **kwargs)
         return wrapper
 
+    assert cli.load_text_vectors is load_text_vectors  # resolved through the package's table of exports
     monkeypatch.chdir(workdir)
     for name in ("load_text_vectors", "analyze_lexical_sets"):
         monkeypatch.setattr(cli, name, recording(name))
@@ -523,6 +524,7 @@ def test_analyze_calls_the_vector_loader_and_analysis_set_on_the_cli_module(work
     assert calls == ["load_text_vectors", "analyze_lexical_sets"]
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cli.no_such_name
+    assert not hasattr(cli, "__path__") and not hasattr(cli, "__all__")  # the package's own, not its exports
 
 
 def test_undecodable_vector_file_names_the_file(workdir):
@@ -552,13 +554,26 @@ def test_undecodable_inventory_names_the_file(workdir, command):
     assert not (workdir / "out").exists()
 
 
+def append_vector_row(workdir, row, header="17 2"):
+    lines = (workdir / "toy_vectors.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    (workdir / "toy_vectors.txt").write_text(f"{header}\n" + "".join(lines[1:]) + row, encoding="utf-8")
+
+
 def test_malformed_vector_row_names_file_and_line(workdir):
-    with open(workdir / "toy_vectors.txt", "a", encoding="utf-8") as stream:
-        stream.write("citta 0.1 zero\n")
+    append_vector_row(workdir, "citta 0.1 zero\n", header="18 2")
     assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
     result = run_cli(workdir, "analyze", "--config", "toy_config.json")
     assert result.returncode == 2
     assert result.stderr.startswith("error: toy_vectors.txt: line 19: non-numeric vector component")
+
+
+def test_a_malformed_row_past_the_declared_count_is_reported_as_the_count(workdir):
+    # the check before any work counts the rows and converts none, so it reports the count first
+    append_vector_row(workdir, "citta 0.1 zero\n")
+    assert run_cli(workdir, "extract", "--config", "toy_config.json").returncode == 0
+    result = run_cli(workdir, "analyze", "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == "error: toy_vectors.txt: line 1: header declares 17 rows, the file has 18\n"
 
 
 def test_vector_header_count_mismatch_names_file_and_line(workdir):
@@ -774,6 +789,24 @@ def test_vector_file_without_a_data_row_exits_two_before_any_work(workdir, comma
     with pytest.raises(VectorFormatError) as loaded:
         load_text_vectors(io.StringIO(text))
     assert str(loaded.value) == error
+    (workdir / "toy_vectors.txt").write_text(text, encoding="utf-8")
+    result = run_cli(workdir, command, "--config", "toy_config.json")
+    assert result.returncode == 2
+    assert result.stderr == f"error: toy_vectors.txt: {error}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize("header,rows,extra,error", [
+    ("500 2", 2, "", "line 1: header declares 500 rows, the file has 2"),
+    ("17 2", 17, "citta 0.1 0.2\n", "line 1: header declares 17 rows, the file has 18"),
+], ids=["truncated", "one-row-longer"])
+def test_vector_row_count_off_its_header_exits_two_before_any_work(workdir, command, header, rows, extra, error):
+    lines = (workdir / "toy_vectors.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    text = f"{header}\n" + "".join(lines[1:1 + rows]) + extra
+    with pytest.raises(VectorFormatError) as loaded:
+        load_text_vectors(io.StringIO(text))
+    assert str(loaded.value) == error  # the loader's own error
     (workdir / "toy_vectors.txt").write_text(text, encoding="utf-8")
     result = run_cli(workdir, command, "--config", "toy_config.json")
     assert result.returncode == 2

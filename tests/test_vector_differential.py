@@ -4,11 +4,14 @@ The oracle below is the earlier ``load_text_vectors``, which converted
 every row with ``values[:] = components``. On generated files, under
 several ``BLOCK_LINES``, the current loader must give the same matrix
 bytes, the same word -> row map, the same ``stats()``, or the same first
-error at the same line.
+error at the same line. The CLI's check of a whole vector file, which
+counts rows without converting them, must end as the loader ends.
 """
 
 import io
+import os
 import random
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -16,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsets import embeddings
-from lexsets.embeddings import EmbeddingStore, _VectorReader, load_text_vectors
+from lexsets import cli, vectorfile
+from lexsets.embeddings import EmbeddingStore, load_text_vectors
 from lexsets.errors import VectorFormatError
+from lexsets.vectorfile import _VectorReader
 
 # --- oracle: the earlier loader ---------------------------------------------
 
@@ -183,7 +187,7 @@ def outcome(load, lines, vocabulary):
 @given(vector_files())
 def test_block_loader_matches_the_row_loader(case):
     block_lines, lines, vocabulary = case
-    with mock.patch.object(embeddings, "BLOCK_LINES", block_lines):
+    with mock.patch.object(vectorfile, "BLOCK_LINES", block_lines):
         got = outcome(load_text_vectors, lines, vocabulary)
     assert got == outcome(oracle_load_text_vectors, lines, vocabulary)
 
@@ -217,8 +221,8 @@ def test_a_refused_block_is_read_row_by_row(monkeypatch):
     lines = [f"w{i} {i} 1\n" for i in range(1200)]
     lines[700] = "w700 7_00 1\n"  # float() reads the underscore; the reader does not
     store = load_text_vectors(io.StringIO("".join(lines)))
-    first = 2 + embeddings.BLOCK_LINES  # line number of the first line of the second block
-    assert calls == [1, *range(first, first + embeddings.BLOCK_LINES)]
+    first = 2 + vectorfile.BLOCK_LINES  # line number of the first line of the second block
+    assert calls == [1, *range(first, first + vectorfile.BLOCK_LINES)]
     np.testing.assert_array_equal(store.lookup("w700"), [700.0, 1.0])
 
 
@@ -235,3 +239,49 @@ def test_row_check_converts_as_numpy_assignment_does(token, row, monkeypatch):
     lines[row] = f"w{row} {token} 1\n"
     assert outcome(load_text_vectors, lines, None) == outcome(oracle_load_text_vectors, lines, None)
     assert row + 1 in calls  # numpy's reader refuses a block that holds the token, so its row is checked alone
+
+
+# --- the CLI's row count against the loader -------------------------------------
+
+BLANKS = ["", " ", "\t", "\x0c", "\x85", "　"]
+
+
+@st.composite
+def well_formed_files(draw):
+    """Text of a file of well-formed rows among blank lines, under a header whose count may be off."""
+    dimension = draw(st.integers(1, 3))
+    rows = [" ".join([f"w{index}", *map(repr, draw(st.lists(st.floats(-2.0, 2.0), min_size=dimension,
+                                                                   max_size=dimension)))])
+            for index in range(draw(st.integers(0, 6)))]
+    blanks = st.lists(st.sampled_from(BLANKS), max_size=3)
+    lines = draw(st.permutations(rows + draw(blanks)))
+    offset = draw(st.sampled_from([None, -2, -1, 0, 0, 1, 2]))  # None: no header
+    if offset is not None:
+        lines.insert(0, f"{max(0, len(rows) + offset)} {dimension}")
+    lines = draw(blanks) + lines
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + ending for line, ending in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line break
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def end_of(path, read):
+    """The text of the error that reading ``path`` through the CLI's reader raises, or None."""
+    try:
+        cli._read_input(path, read)
+    except VectorFormatError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_files())
+def test_the_row_count_check_ends_as_the_loader_ends(text):
+    # every row is well-formed, so the loader raises only where the stream ends: on a row count
+    # that its header does not declare, or on a file with no header and no data row
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "vectors.txt")
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+        assert end_of(path, _VectorReader(()).check) == end_of(path, load_text_vectors)
