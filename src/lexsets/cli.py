@@ -15,8 +15,8 @@ import json
 import os
 import sys
 from collections import Counter
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -167,30 +167,32 @@ def _prepare(config: RunConfig, paths: list[str]) -> VerbInventory:
     return inventory
 
 
-def _prefix_path(config: RunConfig, suffix: str) -> Path:
-    path = Path(f"{config.output_prefix}_{suffix}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _prefix_path(config: RunConfig, suffix: str) -> str:
+    return f"{config.output_prefix}_{suffix}"
 
 
-@contextmanager
-def _atomic_output(path: Path):
-    """Text stream onto a temporary file beside ``path``, moved onto ``path`` only if the block completes.
+def _commit(config: RunConfig, outputs: dict, manifest_suffix: str, manifest: dict) -> None:
+    """Replace a stage's files under the output prefix in the order given, then write its manifest last.
 
-    A run that fails or is interrupted part-way leaves no truncated artifact for a later stage to read.
+    ``outputs`` maps a suffix to a text, to a function that writes a stream, or to ``None`` for a file to remove.
+    The old manifest goes first, so a prefix without its manifest holds a stage that did not finish; each file is
+    renamed into place from a temporary file beside it, so a failed run leaves no truncated file for a later stage.
     """
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as stream:
-            yield stream
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _atomic_output(path) as stream:
-        stream.write(text)
+    manifest_path = Path(_prefix_path(config, manifest_suffix))
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    manifest_path.unlink(missing_ok=True)
+    for suffix, output in [*outputs.items(), (manifest_suffix, json_text(manifest))]:
+        path = Path(_prefix_path(config, suffix))
+        if output is None:
+            path.unlink(missing_ok=True)
+            continue
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "w", encoding="utf-8") as stream:
+                output(stream) if callable(output) else stream.write(output)
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)
 
 
 class _ByteRange(io.RawIOBase):
@@ -278,19 +280,22 @@ def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rul
     return _read_input(path, extract, start, end)
 
 
-def _merge_shards(shards: list[tuple[str, int, int]], results, worker_died: tuple[type[Exception], ...] = ()
+def _merge_shards(shards: list[tuple[str, int, int]], start, worker_died: tuple[type[Exception], ...] = ()
                   ) -> tuple[dict[tuple[str, str], LexicalSet], ParseStats]:
-    """Merge the shard results in shard order, naming the corpus file of a shard whose worker died.
+    """Merge the results of ``start()`` in shard order, naming the corpus file of a shard whose worker died.
 
     A slot keeps the set of the first shard that has it; each later set of
     that slot adds its counts lemma by lemma, as ``Counter.update`` adds them.
-    ``worker_died`` holds the exceptions that ``results`` raises for a dead worker (none in process).
+    ``worker_died`` holds the exceptions raised for a dead worker (none in process), by ``start()`` too:
+    a pool's ``map`` submits every shard, and a submission fails once a dead worker has broken the pool.
     """
     sets: dict[tuple[str, str], LexicalSet] = {}
     stats = ParseStats()
-    results = iter(results)
+    results = None
     for path, _, _ in shards:
         try:
+            if results is None:
+                results = iter(start())
             shard_sets, shard_stats = next(results)
         except worker_died as exc:
             raise InputError(f"{path}: a worker process stopped before its shard was done ({exc})") from None
@@ -317,16 +322,15 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
     # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     processes = min(workers, cpus, len(shards))
-    with ExitStack() as stack:
-        run, worker_died = map, ()
-        if processes > 1:
-            # imported here, so that only a run that starts a pool loads it
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
+    if processes == 1:
+        sets, stats = _merge_shards(shards, lambda: map(_extract_shard, *arguments))
+    else:
+        # imported here, so that only a run that starts a pool loads it
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map
-            worker_died = (BrokenProcessPool,)
-        sets, stats = _merge_shards(shards, run(_extract_shard, *arguments), worker_died)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            sets, stats = _merge_shards(shards, lambda: pool.map(_extract_shard, *arguments), (BrokenProcessPool,))
 
     manifest = {
         "corpus_files": list(config.corpus_paths),
@@ -346,27 +350,23 @@ def cmd_extract(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
     # a database named on the command line is read without a manifest
-    manifest_path = None if database_path else f"{config.output_prefix}_manifest.json"
-    database_path = database_path or f"{config.output_prefix}_lexsets.json"
+    manifest_path = None if database_path else _prefix_path(config, "manifest.json")
+    database_path = database_path or _prefix_path(config, "lexsets.json")
     return _analyze(config, _prepare(config, [database_path, config.vectors_path]), database_path, manifest_path)
 
 
 def cmd_run(config: RunConfig) -> int:
     inventory = _prepare(config, [*config.corpus_paths, config.vectors_path])
     _extract(config, inventory)
-    return _analyze(config, inventory, f"{config.output_prefix}_lexsets.json")
+    return _analyze(config, inventory, _prefix_path(config, "lexsets.json"))
 
 
 def _extract(config: RunConfig, inventory: VerbInventory) -> int:
     targets = frozenset(inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
-    # removed before any output is replaced and written last: a prefix without its manifest holds an unfinished stage
-    _prefix_path(config, "manifest.json").unlink(missing_ok=True)
-    with _atomic_output(_prefix_path(config, "lexsets.json")) as stream:
-        write_database(sets, stream)
-    with _atomic_output(_prefix_path(config, "lexsets.tsv")) as stream:
-        write_database_tsv(sets, stream)
-    _write_text(_prefix_path(config, "manifest.json"), json_text(manifest))
+    # the writers are looked up here, where a wrapper set on this module replaces them
+    outputs = {"lexsets.json": partial(write_database, sets), "lexsets.tsv": partial(write_database_tsv, sets)}
+    _commit(config, outputs, "manifest.json", manifest)
     if not sets:
         print("warning: no target-verb occurrences found; database is empty", file=sys.stderr)
     return EXIT_OK
@@ -388,14 +388,13 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str,
 
     geometry_csv, geometry_json = report.geometry_documents(result, verbose=config.verbose_geometry)
     analysis_csv, analysis_json = report.analysis_documents(result)
-    _prefix_path(config, "analysis_manifest.json").unlink(missing_ok=True)  # as in _extract
-    _write_text(_prefix_path(config, "geometry.csv"), geometry_csv)
-    _write_text(_prefix_path(config, "geometry.json"), geometry_json)
-    _write_text(_prefix_path(config, "analysis.csv"), analysis_csv)
-    _write_text(_prefix_path(config, "analysis.json"), analysis_json)
-    for suffix, spec in report.figure_specs(result).items():
-        _write_text(_prefix_path(config, f"{suffix}.svg"), report.render_svg(spec))
-
+    outputs = {"geometry.csv": geometry_csv, "geometry.json": geometry_json,
+               "analysis.csv": analysis_csv, "analysis.json": analysis_json}
+    outputs.update((f"{suffix}.svg", report.render_svg(spec)) for suffix, spec in report.figure_specs(result).items())
+    prefix = Path(_prefix_path(config, ""))  # an earlier run's figures that this run does not draw are removed
+    names = {path.name[len(prefix.name):] for path in prefix.parent.glob("*.svg") if path.name.startswith(prefix.name)}
+    stale = [name for name in sorted(names - outputs.keys())
+             if name.startswith("fig1_") or name in ("fig2_S.svg", "fig2_O.svg", "fig3.svg")]
     manifest = {
         "database": database_path,
         "vectors": {**store.stats(), "metadata": config.vectors_path},
@@ -407,7 +406,7 @@ def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str,
         "distances_above_one": result.distances_above_one,
         "notes": result.notes,
     }
-    _write_text(_prefix_path(config, "analysis_manifest.json"), json_text(manifest))
+    _commit(config, {**dict.fromkeys(stale), **outputs}, "analysis_manifest.json", manifest)
 
     if not result.verbs:
         print("error: every inventory verb was excluded from the analysis", file=sys.stderr)

@@ -5,14 +5,15 @@ import json
 import multiprocessing
 import os
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from lexsets import cli
+from lexsets import cli, report
 from lexsets.cli import load_config, main
 from lexsets.embeddings import load_text_vectors
-from lexsets.errors import ConfigError, VectorFormatError
+from lexsets.errors import ConfigError, PlotSpecError, VectorFormatError
 
 from conftest import DATA_DIR, GOLDEN_DIR, run_cli, run_python
 
@@ -324,6 +325,28 @@ def test_worker_pool_is_capped_at_usable_cpus(workdir, monkeypatch):
     assert [(pool.max_workers, pool.shards > 2) for pool in pools] == [(2, True)]
     for name in EXTRACT_FILES:
         assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_a_pool_broken_while_shards_are_submitted_exits_two_with_path(workdir, monkeypatch, capsys):
+    class BrokenPool:  # what a pool does once a dead worker has broken it before map has submitted every shard
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, *iterables):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["extract", "--config", "toy_config.json", "--workers", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: toy.conllu: a worker process stopped")
+    assert not (workdir / "out").exists()
 
 
 class NoPool:
@@ -1122,6 +1145,50 @@ def test_a_failed_analyze_removes_the_old_analysis_manifest(workdir):
     assert "toy_fig3.svg" in result.stderr
     assert not (workdir / "out" / "toy_analysis_manifest.json").exists()
     assert read_out(workdir, "toy_manifest.json") == (GOLDEN_DIR / "toy_manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("kept", [["chiudere", "aprire", "fermare", "affondare"], ["affondare"]],
+                         ids=["one-verb-dropped", "no-verb-included"])
+def test_a_second_run_leaves_no_figure_of_an_earlier_run(workdir, kept):
+    assert run_cli(workdir, "run", "--config", "toy_config.json").returncode == 0
+    others = ["toy_fig2_X.svg", "toy_notes.svg", "other_fig3.svg", "xtoy_fig3.svg"]  # no figure of this prefix
+    for name in others:
+        (workdir / "out" / name).write_text("kept")
+    entries = [entry for entry in json.loads((workdir / "toy_inventory.json").read_text()) if entry["lemma"] in kept]
+    for rank, entry in enumerate(entries, 1):
+        entry["spontaneity_rank"] = rank
+    (workdir / "toy_inventory.json").write_text(json.dumps(entries))
+    fresh = workdir / "fresh"
+    fresh.mkdir()
+    for name in FIXTURES:
+        shutil.copy(workdir / name, fresh / name)
+    codes = [run_cli(directory, "run", "--config", "toy_config.json").returncode for directory in (workdir, fresh)]
+    assert codes == ([0, 0] if len(kept) > 1 else [3, 3])
+    written = sorted(path.name for path in (fresh / "out").iterdir())
+    assert sorted(path.name for path in (workdir / "out").iterdir()) == sorted(written + others)
+    for name in written:
+        assert read_out(workdir, name) == (fresh / "out" / name).read_bytes(), name
+    for name in others:
+        assert read_out(workdir, name) == b"kept"
+
+
+def test_a_failed_render_leaves_the_previous_run_whole(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    assert main(["run", "--config", "toy_config.json"]) == 0
+    before = {path.name: path.read_bytes() for path in (workdir / "out").iterdir()}
+    set_config_field(workdir, "verbose_geometry", True)  # so that the tables this analyze builds differ
+    render_svg, calls = report.render_svg, []
+
+    def fail_second(spec):
+        calls.append(spec)
+        if len(calls) == 2:
+            raise PlotSpecError("cannot draw this figure")
+        return render_svg(spec)
+
+    monkeypatch.setattr(report, "render_svg", fail_second)
+    assert main(["analyze", "--config", "toy_config.json"]) == 2
+    assert capsys.readouterr().err == "error: cannot draw this figure\n"
+    assert {path.name: path.read_bytes() for path in (workdir / "out").iterdir()} == before
 
 
 def test_analysis_manifest_reports_large_distances(workdir):

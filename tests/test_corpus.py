@@ -643,7 +643,7 @@ def test_byte_range_shards_equal_a_serial_pass(data, fractions, strict):
         def sharded():
             shards = [(path, start, end) for start, end in ranges]
             return _merge_shards(
-                shards, (_extract_shard(*shard, SHARD_TARGETS, SHARD_RULES, strict) for shard in shards)
+                shards, lambda: (_extract_shard(*shard, SHARD_TARGETS, SHARD_RULES, strict) for shard in shards)
             )
 
         def serial():
@@ -673,7 +673,7 @@ def test_merge_shards_adds_counts_by_lemma_and_keeps_every_slot():
          ParseStats(sentences_parsed=2, malformed_lines=1)),
         ({}, ParseStats(sentences_parsed=1, sentences_filtered_by_length=1)),
     ]
-    sets, stats = _merge_shards(shards, results)
+    sets, stats = _merge_shards(shards, lambda: results)
     assert sets == {
         ("v", "O"): LexicalSet("v", "O", {"porta": 3, "vetro": 1, "ramo": 4}),
         ("w", "S"): LexicalSet("w", "S", {"si": 1}),
