@@ -16,7 +16,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .corpus import ROLE_O, ROLE_S, ROLES, LexicalSet
-from .embeddings import EmbeddingStore, cosine_distance
+from .embeddings import EmbeddingStore, cosine_distance, cosine_similarity
 from .errors import (
     DegenerateVectorError,
     EmptySetError,
@@ -87,12 +87,6 @@ def rank_values(
 def _tie_count(values: Sequence[float]) -> int:
     groups = Counter(values)
     return sum(size for size in groups.values() if size > 1)
-
-
-def _rho_from_centered(x: np.ndarray, y: np.ndarray) -> float:
-    denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    value = float(np.dot(x, y)) / denom
-    return max(-1.0, min(1.0, value))
 
 
 def _doubled_ranks(values: np.ndarray) -> list[int]:
@@ -166,7 +160,7 @@ def spearman(x: Mapping[Hashable, float], y: Mapping[Hashable, float]) -> Correl
     y_centered = y_vals - y_vals.mean()
     if not np.any(x_centered) or not np.any(y_centered):
         raise UndefinedCorrelationError("constant ranks have no defined correlation")
-    rho = _rho_from_centered(x_centered, y_centered)
+    rho = cosine_similarity(x_centered, y_centered)
     if n <= EXACT_PERMUTATION_MAX_N:
         p = _exact_permutation_pvalue(x_vals, y_vals)
         method = "exact_permutation"
@@ -304,7 +298,7 @@ def analyze_lexical_sets(
             except EmptySetError:
                 reason = f"no covered fillers ({role})"
                 break
-            except DegenerateVectorError:  # a filler's vector or the centroid has zero norm
+            except DegenerateVectorError:  # a filler's vector has zero norm, or the centroid a zero or NaN one
                 zero = [filler for filler in sorted(lex_set.counts)
                         if (vector := store.lookup(filler)) is not None and vector @ vector == 0]
                 reason = f"zero vector for filler {zero[0]!r} ({role})" if zero else f"degenerate centroid ({role})"

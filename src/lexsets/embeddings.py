@@ -26,6 +26,8 @@ class EmbeddingStore:
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (dimension,):
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dimension},)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"vector for {word!r} has a non-finite component")
             matrix[row] = arr
         self._hold(matrix, {word: row for row, word in enumerate(vectors)}, 0, len(vectors))
 
@@ -89,23 +91,27 @@ def load_text_vectors(stream: Iterable[str], *, vocabulary: Collection[str] | No
     return EmbeddingStore.__new__(EmbeddingStore)._hold(*_VectorReader(vocabulary).read(stream))
 
 
-def _as_checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
+def _cosines(rows, v) -> np.ndarray:
+    """cos(row, v) for each row of a 2-d array, clamped to [-1, 1].
+
+    Every cosine in the package comes from here. The dot products a·b,
+    a·a and b·b are summed by numpy's einsum loops, never by BLAS, over
+    C-contiguous copies, so a row gives the same bits alone or in a
+    batch, whichever BLAS kernel numpy has loaded.
+    """
+    a = np.ascontiguousarray(rows, dtype=np.float64)
+    b = np.ascontiguousarray(v, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def _cosine_of_dots(dot_ab, dot_aa, dot_bb):
-    """cos from the dot products a·b, a·a and b·b (scalars or arrays of a's), clamped to [-1, 1]."""
-    if dot_bb == 0.0 or not np.all(dot_aa):
-        raise DegenerateVectorError("cosine is undefined for a zero-norm vector")
-    # sqrt of the product keeps cos(u, u) exactly 1; split the square
-    # roots only where the product overflows or underflows. Overflow is
-    # silent, as in float arithmetic; fmin/fmax clamp the NaN of an
-    # overflowed a·b to 1, as min/max on floats do.
+    # Overflow is silent, as in float arithmetic; fmin/fmax clamp the NaN
+    # of an overflowed a·b to 1, as min/max on floats do. A NaN norm, which
+    # only a NaN component gives, fails the degenerate test as a zero one.
+    # sqrt of the product keeps cos(u, u) exactly 1; the square roots are
+    # split only where the product overflows or underflows.
     with np.errstate(all="ignore"):
+        dot_ab, dot_aa, dot_bb = np.einsum("ij,j->i", a, b), np.einsum("ij,ij->i", a, a), np.einsum("j,j->", b, b)
+        if not dot_bb > 0.0 or not np.all(dot_aa > 0.0):
+            raise DegenerateVectorError("cosine is undefined for a zero-norm or NaN vector")
         product = dot_aa * dot_bb
         split = (product == np.inf) | (product == 0.0)
         denominator = np.where(split, np.sqrt(dot_aa) * np.sqrt(dot_bb), np.sqrt(product))
@@ -114,8 +120,9 @@ def _cosine_of_dots(dot_ab, dot_aa, dot_bb):
 
 def cosine_similarity(u, v) -> float:
     """cos(u, v), clamped to [-1, 1] against rounding."""
-    a, b = _as_checked_pair(u, v)
-    return float(_cosine_of_dots(float(np.dot(a, b)), float(np.dot(a, a)), float(np.dot(b, b))))
+    if np.ndim(u) != 1 or np.shape(u) != np.shape(v):
+        raise DimensionMismatchError(f"vector shapes differ: {np.shape(u)} vs {np.shape(v)}")
+    return float(_cosines([u], v)[0])
 
 
 def cosine_distance(u, v) -> float:
@@ -124,15 +131,5 @@ def cosine_distance(u, v) -> float:
 
 
 def cosine_distances(rows, v) -> np.ndarray:
-    """``cosine_distance(row, v)`` for each row of a 2-d array, from one matrix-vector product.
-
-    Each value may differ from the one-pair function in its last bits,
-    since the dot products are summed in a different order.
-    """
-    a = np.asarray(rows, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    with np.errstate(all="ignore"):
-        dot_ab, dot_aa = a @ b, np.einsum("ij,ij->i", a, a)
-    return 1.0 - _cosine_of_dots(dot_ab, dot_aa, float(np.dot(b, b)))
+    """``cosine_distance(row, v)`` for each row of a 2-d array, bit for bit."""
+    return 1.0 - _cosines(rows, v)

@@ -16,7 +16,7 @@ from lexsets.embeddings import (
 )
 from lexsets.errors import DegenerateVectorError, DimensionMismatchError, VectorFormatError
 
-from conftest import store_from_text
+from conftest import run_python, store_from_text
 
 
 # --- loader ---------------------------------------------------------------
@@ -173,6 +173,12 @@ def test_store_rejects_mismatched_vector_length():
         EmbeddingStore(3, {"a": np.array([1.0, 2.0])})
 
 
+@pytest.mark.parametrize("component", [math.nan, math.inf, -math.inf])
+def test_store_rejects_a_non_finite_component(component):
+    with pytest.raises(ValueError, match="vector for 'a' has a non-finite component"):
+        EmbeddingStore(2, {"b": [1.0, 0.0], "a": [component, 1.0]})
+
+
 # --- cosine metrics -------------------------------------------------------
 
 
@@ -201,8 +207,16 @@ def test_zero_norm_rejected():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"vector shapes differ: \(2,\) vs \(3,\)"):
         cosine_similarity((1, 0), (1, 0, 0))
+
+
+def test_nan_vector_rejected_not_given_distance_zero():
+    for u, v in [([math.nan, 1.0], [1.0, 0.0]), ([1.0, 0.0], [math.nan, 1.0])]:
+        with pytest.raises(DegenerateVectorError):
+            cosine_distance(u, v)
+        with pytest.raises(DegenerateVectorError):
+            cosine_distances([[1.0, 1.0], u], v)
 
 
 _elements = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -235,9 +249,15 @@ def test_cosine_distances_match_one_pair_at_a_time():
     v = rng.standard_normal(7)
     distances = cosine_distances(rows, v)
     for row, distance in zip(rows, distances):
-        assert abs(distance - cosine_distance(row, v)) <= 1e-15
+        assert distance == cosine_distance(row, v)
     np.testing.assert_allclose(cosine_distances([[2.0, 2.0], [0.0, 1.0], [-1.0, 0.0]], [1.0, 0.0]),
                                [1.0 - math.sqrt(2) / 2, 1.0, 2.0], rtol=0, atol=1e-15)
+
+
+def test_strided_inputs_give_the_bits_of_one_pair_at_a_time():
+    matrix = np.random.default_rng(9).standard_normal((40, 600))
+    rows, v = matrix[:, ::2], matrix[0, 1::2]
+    assert cosine_distances(rows, v).tolist() == [cosine_distance(row.copy(), v.copy()) for row in rows]
 
 
 def test_cosine_distances_reject_zero_rows_and_bad_shapes():
@@ -258,3 +278,34 @@ def test_near_parallel_vectors_stay_clamped():
         v = u * (1 + 1e-14) + 1e-15
         assert cosine_similarity(u, v) <= 1.0
         assert cosine_distance(u, v) >= 0.0
+
+
+# The control ``a @ b`` goes through BLAS; where its bits follow
+# OPENBLAS_CORETYPE, numpy's BLAS is a DYNAMIC_ARCH OpenBLAS, and the
+# cosines must still give the same bytes under both kernels.
+_KERNEL_PROBE = """
+from types import SimpleNamespace
+import numpy as np
+from lexsets.analysis import centroid_distance
+from lexsets.embeddings import cosine_distances
+rng = np.random.default_rng(31)
+rows, v, w = rng.standard_normal((5000, 300)), rng.standard_normal(300), rng.standard_normal(300)
+distance = centroid_distance(SimpleNamespace(centroid=v), SimpleNamespace(centroid=w))
+for value in (rows @ v, cosine_distances(rows, v), np.float64(distance)):
+    print(value.tobytes().hex())
+"""
+
+
+def test_cosines_give_the_same_bytes_under_another_blas_kernel(tmp_path, monkeypatch):
+    def probe():
+        result = run_python(tmp_path, "-c", _KERNEL_PROBE)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()
+
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    control, *default = probe()
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    prescott_control, *prescott = probe()
+    if control == prescott_control:
+        pytest.skip("a @ b has the same bits under OPENBLAS_CORETYPE=Prescott: no DYNAMIC_ARCH OpenBLAS")
+    assert default == prescott

@@ -181,7 +181,7 @@ def assert_matches_sequential(lex_set, store):
     assert geometry.centroid.tobytes() == centroid.tobytes()
     assert [lemma for lemma, _, _ in geometry.filler_distances] == [lemma for lemma, _ in distances]
     for (_, blocked, count), (lemma, one_by_one) in zip(geometry.filler_distances, distances):
-        assert abs(blocked - one_by_one) <= 1e-15
+        assert blocked == one_by_one
         assert count == lex_set.counts[lemma]
 
 
