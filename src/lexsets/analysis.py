@@ -298,9 +298,10 @@ def analyze_lexical_sets(
             except EmptySetError:
                 reason = f"no covered fillers ({role})"
                 break
-            except DegenerateVectorError:  # a filler's vector has zero norm, or the centroid a zero or NaN one
-                zero = [filler for filler in sorted(lex_set.counts)
-                        if (vector := store.lookup(filler)) is not None and vector @ vector == 0]
+            except DegenerateVectorError:  # a filler's vector has zero norm, or the centroid a zero, NaN or inf one
+                with np.errstate(over="ignore"):  # a vector too large to square is not a zero one
+                    zero = [filler for filler in sorted(lex_set.counts)
+                            if (vector := store.lookup(filler)) is not None and vector @ vector == 0]
                 reason = f"zero vector for filler {zero[0]!r} ({role})" if zero else f"degenerate centroid ({role})"
                 break
         if reason is not None:

@@ -267,14 +267,16 @@ def _extract_shard(path: str, start: int, end: int, targets: frozenset[str], rul
 
     Returns the sets, built from the filler counts by :func:`lexical_sets_from_counts`
     as in the library route, and the parse statistics, which count the
-    sentences dropped by the length filter.
+    sentences dropped by the length filter. Given the targets and rules,
+    ``parse_conll`` builds only the sentences that hold a target verb.
     The range must start and end at cuts made by :func:`_cut_ranges`,
     so merging the results of a file's ranges equals one serial pass.
     A parse error names the file and its line in the whole file.
     """
     def extract(stream) -> tuple[dict[tuple[str, str], LexicalSet], ParseStats]:
         stats = ParseStats()
-        counts = count_fillers(parse_conll(stream, strict=strict, stats=stats), targets, rules, stats)
+        sentences = parse_conll(stream, strict=strict, stats=stats, targets=targets, rules=rules)
+        counts = count_fillers(sentences, targets, rules, stats)
         return lexical_sets_from_counts(counts), stats
 
     return _read_input(path, extract, start, end)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -124,7 +124,7 @@ class ParseStats:
     malformed_lines: int = 0
     comment_lines: int = 0
     range_lines_skipped: int = 0
-    sentences_filtered_by_length: int = 0  # counted by count_fillers; parse_conll leaves it 0
+    sentences_filtered_by_length: int = 0  # counted by count_fillers, or by parse_conll given targets and rules
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -152,24 +152,24 @@ _index_of = itemgetter(0)
 _head_of = itemgetter(4)
 
 
-def _finish_sentence(tokens: list[Token], line_numbers: list[int]) -> Sentence:
-    n = len(tokens)
+def _check_tree(rows: list[tuple], line_numbers: list[int]) -> None:
+    """Raise ConllParseError at the first row whose index is out of order or whose head is out of range or itself.
+
+    Each row holds a token's fields in :class:`Token`'s order.
+    """
+    n = len(rows)
     positions = range(1, n + 1)
-    heads = list(map(_head_of, tokens))
-    if (
-        list(map(_index_of, tokens)) != list(positions)
-        or min(heads) < 0
-        or max(heads) > n
-        or any(map(eq, heads, positions))
-    ):
-        for position, line_number, token in zip(positions, line_numbers, tokens):
-            if token.index != position:
-                raise ConllParseError(f"token index {token.index} out of order, expected {position}", line_number)
-            if token.head < 0 or token.head > n:
-                raise ConllParseError(f"head {token.head} out of range for a {n}-token sentence", line_number)
-            if token.head == token.index:
-                raise ConllParseError(f"token {token.index} is its own head", line_number)
-    return Sentence(tuple(tokens))
+    indices = list(map(_index_of, rows))
+    heads = list(map(_head_of, rows))
+    if indices == list(positions) and min(heads) >= 0 and max(heads) <= n and not any(map(eq, heads, positions)):
+        return
+    for position, line_number, index, head in zip(positions, line_numbers, indices, heads):
+        if index != position:
+            raise ConllParseError(f"token index {index} out of order, expected {position}", line_number)
+        if head < 0 or head > n:
+            raise ConllParseError(f"head {head} out of range for a {n}-token sentence", line_number)
+        if head == index:
+            raise ConllParseError(f"token {index} is its own head", line_number)
 
 
 def parse_conll(
@@ -177,6 +177,8 @@ def parse_conll(
     *,
     strict: bool = True,
     stats: ParseStats | None = None,
+    targets: Iterable[str] | None = None,
+    rules: ExtractionRules | None = None,
 ) -> Iterator[Sentence]:
     """Yield sentences from a character stream of CoNLL token lines.
 
@@ -188,15 +190,32 @@ def parse_conll(
     token line are counted in ``stats.range_lines_skipped``. Malformed
     lines raise :class:`ConllParseError` when ``strict``; otherwise the
     surrounding sentence is dropped and counted in ``stats``.
+
+    ``targets`` (verb lemmas) and ``rules`` are given together or not at
+    all. With them, every line and sentence is still checked and counted
+    as above, but only the sentences that :func:`count_fillers` would
+    take fillers from are built and yielded: those under
+    ``rules.max_sentence_length`` tokens that hold a token whose UPOS is
+    in ``rules.verb_pos_tags`` and whose lemma, lower-cased, is a
+    lower-cased target. Each sentence at or over the cap is counted in
+    ``stats.sentences_filtered_by_length``, target or not.
     """
+    if (targets is None) != (rules is None):
+        raise TypeError("parse_conll takes targets and rules together or not at all")
     if stats is None:
         stats = ParseStats()
+    if rules is not None:
+        cap = rules.max_sentence_length
+        verb_pos_tags = rules.verb_pos_tags
+        lowered = {target.lower() for target in targets}
     # A Token is a NamedTuple; building it through tuple.__new__ skips the
     # keyword-handling __new__ the class generates.
     new_token = tuple.__new__
-    tokens: list[Token] = []
+    # The fields of each token line of the sentence, in Token's order, and
+    # its line number; Tokens are built only for a sentence that is yielded.
+    rows: list[tuple] = []
     line_numbers: list[int] = []
-    add_token, add_line_number = tokens.append, line_numbers.append
+    add_row, add_line_number = rows.append, line_numbers.append
     bad_block = False
 
     line_number = 0
@@ -206,21 +225,34 @@ def parse_conll(
         line_number += 1
         line = raw_line.rstrip("\r\n")
         if not line.strip():
-            sentence = None
+            wanted = False
             if bad_block:
                 stats.sentences_skipped += 1
-            elif tokens:
+            elif rows:
                 try:
-                    sentence = _finish_sentence(tokens, line_numbers)
-                    stats.sentences_parsed += 1
+                    _check_tree(rows, line_numbers)
                 except ConllParseError:
                     if strict:
                         raise
                     stats.sentences_skipped += 1
-            tokens.clear()
+                else:
+                    stats.sentences_parsed += 1
+                    if rules is None:
+                        wanted = True
+                    elif len(rows) >= cap:
+                        stats.sentences_filtered_by_length += 1
+                    else:
+                        # the token test of _sentence_fillers; a plain loop, which is cheaper than any() here
+                        for row in rows:
+                            if row[3] in verb_pos_tags and row[2].lower() in lowered:
+                                wanted = True
+                                break
+            if wanted:
+                sentence = Sentence(tuple(map(new_token, repeat(Token), rows)))
+            rows.clear()
             line_numbers.clear()
             bad_block = False
-            if sentence is not None:
+            if wanted:
                 yield sentence
             continue
         if line[0] == "#":
@@ -255,7 +287,7 @@ def parse_conll(
             bad_block = True
             continue
         if not bad_block:
-            add_token(new_token(Token, (index, parts[1], lemma, parts[3], head, deprel)))
+            add_row((index, parts[1], lemma, parts[3], head, deprel))
             add_line_number(line_number)
 
 

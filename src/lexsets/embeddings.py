@@ -103,11 +103,11 @@ def _cosines(rows, v) -> np.ndarray:
     b = np.ascontiguousarray(v, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    # Overflow is silent, as in float arithmetic; fmin/fmax clamp the NaN
-    # of an overflowed a·b to 1, as min/max on floats do. A NaN norm, which
-    # only a NaN component gives, fails the degenerate test as a zero one.
-    # sqrt of the product keeps cos(u, u) exactly 1; the square roots are
-    # split only where the product overflows or underflows.
+    # A NaN norm, which only a NaN component gives, fails the degenerate
+    # test as a zero one. sqrt of the product keeps cos(u, u) exactly 1;
+    # the square roots are split only where the product overflows or
+    # underflows. fmin/fmax clamp a NaN quotient to 1; the rows it can
+    # come from, those whose dot products overflow, are redone below.
     with np.errstate(all="ignore"):
         dot_ab, dot_aa, dot_bb = np.einsum("ij,j->i", a, b), np.einsum("ij,ij->i", a, a), np.einsum("j,j->", b, b)
         if not dot_bb > 0.0 or not np.all(dot_aa > 0.0):
@@ -115,7 +115,17 @@ def _cosines(rows, v) -> np.ndarray:
         product = dot_aa * dot_bb
         split = (product == np.inf) | (product == 0.0)
         denominator = np.where(split, np.sqrt(dot_aa) * np.sqrt(dot_bb), np.sqrt(product))
-        return np.fmax(-1.0, np.fmin(1.0, dot_ab / denominator))
+        cosines = np.fmax(-1.0, np.fmin(1.0, dot_ab / denominator))
+    overflowed = ~(np.isfinite(dot_ab) & np.isfinite(dot_aa) & np.isfinite(dot_bb))
+    if overflowed.any():
+        # An infinite component gives an infinite a·a or b·b; a finite one
+        # too large to square is scaled down, which leaves its cosine as it
+        # is: each of these rows, and v, is divided by its largest |component|.
+        big = a[overflowed]
+        if not (np.isfinite(big).all() and np.isfinite(b).all()):
+            raise DegenerateVectorError("cosine is undefined for a vector with an infinite component")
+        cosines[overflowed] = _cosines(big / np.abs(big).max(axis=1, keepdims=True), b / np.abs(b).max())
+    return cosines
 
 
 def cosine_similarity(u, v) -> float:

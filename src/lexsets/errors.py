@@ -36,7 +36,7 @@ class DimensionMismatchError(LexsetsError):
 
 
 class DegenerateVectorError(LexsetsError):
-    """A zero-norm or NaN vector has no direction, so cosine metrics are undefined."""
+    """A zero-norm, NaN or infinite vector has no direction, so cosine metrics are undefined."""
 
 
 class EmptySetError(LexsetsError):

@@ -96,14 +96,17 @@ def compute_set_geometry(lex_set: LexicalSet, store: EmbeddingStore) -> SetGeome
     # rows add strictly in order and the centroid has the bits of
     # `acc += count * vec` over the sorted fillers. The row indices are
     # valid, and mode="clip" lets `take` write straight into its `out`.
+    # A sum that overflows is left inf or NaN, without a warning: the
+    # distances below then raise DegenerateVectorError for the centroid.
     dimension = store.dimension
     buffer = np.zeros((min(len(rows), BLOCK_ROWS) + 1, max(dimension, 2)))
-    for block in blocks:
-        size = len(index[block])
-        weighted = buffer[1: size + 1, :dimension]
-        np.take(store.matrix, index[block], axis=0, out=weighted, mode="clip")
-        weighted *= weights[block, None]
-        buffer[0] = buffer[: size + 1].sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            size = len(index[block])
+            weighted = buffer[1: size + 1, :dimension]
+            np.take(store.matrix, index[block], axis=0, out=weighted, mode="clip")
+            weighted *= weights[block, None]
+            buffer[0] = buffer[: size + 1].sum(axis=0)
     centroid = buffer[0, :dimension] / total
     distances = np.empty(len(rows))
     for block in blocks:

@@ -603,6 +603,21 @@ def test_analyze_excludes_degenerate_centroids():
         assert [v.lemma for v in result.verbs] == ["v2", "v3"]
 
 
+def test_analyze_excludes_a_centroid_whose_weighted_sum_overflows():
+    # the suite turns a warning from a lexsets module into an error, so an overflow warning fails this test
+    sets, _, inventory = small_world()
+    sets[("v1", "S")] = LexicalSet("v1", "S", {"p1": 2, "p2": 2})
+    sets[("v1", "O")] = LexicalSet("v1", "O", {"q1": 1})
+    sets[("v2", "S")] = LexicalSet("v2", "S", {"q1": 1})
+    sets[("v2", "O")] = LexicalSet("v2", "O", {"q1": 1})
+    del sets[("v3", "S")]
+    # 2e308 overflows: opposite rows then sum to NaN, equal ones to inf
+    for vectors in ("p1 1e308 1.0\np2 -1e308 1.0\n", "p1 1e308 1.0\np2 1e308 1.0\n"):
+        result = analyze_lexical_sets(sets, store_from_text(vectors + "q1 0.1 1.0\n"), inventory)
+        assert {"verb": "v1", "reason": "degenerate centroid (S)"} in result.excluded
+        assert [v.lemma for v in result.verbs] == ["v2"]
+
+
 def test_analyze_counts_distances_above_one():
     store = store_from_text("p1 1.0 0.0\np2 -1.0 0.1\nq1 0.1 1.0\n")
     sets = {

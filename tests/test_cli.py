@@ -224,15 +224,17 @@ def test_strict_mode_aborts_on_malformed_corpus(workdir):
     assert "line" in result.stderr
 
 
-def _corpus_with_bad_line_late(workdir, sentences=40):
-    """Point the config at a corpus of clean sentences whose last one has a malformed head; return its line."""
+def _corpus_with_bad_line_late(workdir, bad="1\tLuca\tLuca\tPROPN\t_\t_\tx\tnsubj\t_\t_\n", sentences=40):
+    """Point the config at a corpus of clean sentences and then ``bad``, by default a malformed head.
+
+    Returns the line number of ``bad``'s last line, which is the faulty one.
+    """
     block = "1\tLuca\tLuca\tPROPN\t_\t_\t2\tnsubj\t_\t_\n2\tapre\taprire\tVERB\t_\t_\t0\troot\t_\t_\n\n"
-    bad = "1\tLuca\tLuca\tPROPN\t_\t_\tx\tnsubj\t_\t_\n"
     (workdir / "late.conllu").write_text(block * sentences + bad + "\n", encoding="utf-8")
     config = json.loads((workdir / "toy_config.json").read_text())
     config["corpus_paths"] = ["late.conllu"]
     (workdir / "toy_config.json").write_text(json.dumps(config))
-    return 3 * sentences + 1
+    return 3 * sentences + bad.count("\n")
 
 
 def test_strict_error_names_file_and_line_at_every_worker_count(workdir):
@@ -245,6 +247,28 @@ def test_strict_error_names_file_and_line_at_every_worker_count(workdir):
         messages.append(result.stderr)
     assert messages[0] == messages[1]
     assert messages[0] == f"error: late.conllu: line {line}: non-numeric index/head ('1', 'x')\n"
+
+
+# A last sentence with a verb that is no target: extract builds no tokens
+# for it, yet checks its lines and its tree as for any other sentence.
+NO_TARGET = "1\tLuca\tLuca\tPROPN\t_\t_\t2\tnsubj\t_\t_\n"
+
+
+@pytest.mark.parametrize("last_line,reason", [
+    ("2\tcorre\tcorrere", "expected at least 8 tab-separated fields, got 3"),
+    ("2\tcorre\tcorrere\tVERB\t_\t_\t2\troot\t_\t_", "token 2 is its own head"),
+    ("3\tcorre\tcorrere\tVERB\t_\t_\t0\troot\t_\t_", "token index 3 out of order, expected 2"),
+])
+def test_strict_error_in_a_sentence_without_a_target_at_every_worker_count(workdir, last_line, reason):
+    line = _corpus_with_bad_line_late(workdir, NO_TARGET + last_line + "\n")
+    set_config_field(workdir, "strict_parsing", True)
+    path = str(workdir / "late.conllu")
+    (_, _), (second_start, _) = cli._cut_ranges(path, [os.path.getsize(path) // 2])  # the cut of --workers 2
+    assert cli._lines_before(path, second_start) <= line - 2  # the faulty sentence is all in the second shard
+    for workers in ("1", "2"):
+        result = run_cli(workdir, "extract", "--config", "toy_config.json", "--workers", workers)
+        assert result.returncode == 2
+        assert result.stderr == f"error: late.conllu: line {line}: {reason}\n"
 
 
 def test_nul_in_a_lemma_is_written_to_both_databases(workdir):

@@ -237,6 +237,12 @@ def test_length_filter_is_strict(length, counted):
     assert stats == ParseStats(sentences_filtered_by_length=2 if counted else 3)
 
 
+def test_parse_conll_takes_targets_and_rules_together():
+    for keywords in ({"targets": {"aprire"}}, {"rules": ExtractionRules()}):
+        with pytest.raises(TypeError, match="together"):
+            list(parse_conll(io.StringIO(""), **keywords))
+
+
 # --- extract_fillers -----------------------------------------------------
 
 

@@ -219,6 +219,29 @@ def test_nan_vector_rejected_not_given_distance_zero():
             cosine_distances([[1.0, 1.0], u], v)
 
 
+def test_infinite_vector_rejected_not_given_a_distance():
+    for u, v in [([math.inf, 1.0], [-1.0, 0.0]), ([1.0, 0.0], [-math.inf, 0.0]), ([-math.inf, 0.0], [1.0, 1.0])]:
+        with pytest.raises(DegenerateVectorError, match="infinite"):
+            cosine_distance(u, v)
+        with pytest.raises(DegenerateVectorError, match="infinite"):
+            cosine_distances([[1.0, 1.0], u], v)
+
+
+def test_antiparallel_vectors_too_large_to_multiply_are_distance_two():
+    assert cosine_distances([[1e200, 1.0]], [-1e200, 0.0]).tolist() == [2.0]
+    assert cosine_distance([1e200, 1.0], [-1e200, 0.0]) == 2.0
+    assert cosine_distance([1e200, 1e200], [1e200, -1e200]) == 1.0  # a·b would be inf - inf
+
+
+def test_only_overflowing_rows_are_rescaled():
+    rows = np.array([[1.0, 2.0], [1e200, 1.0], [3.0, -1.0], [-1e300, 1e300]])
+    v = np.array([-1.0, 0.5])
+    distances = cosine_distances(rows, v)
+    assert distances[[0, 2]].tobytes() == cosine_distances(rows[[0, 2]], v).tobytes()
+    assert distances[1] == cosine_distance([1.0, 1e-200], v)
+    assert distances[3] == cosine_distance([-1.0, 1.0], v)
+
+
 _elements = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 finite_vectors = arrays(
@@ -241,6 +264,17 @@ def test_cosine_properties(data):
     assert 0.0 <= d <= 2.0
     assert -1.0 <= cosine_similarity(u, v) <= 1.0
     assert math.isclose(cosine_distance(u, scale * v), d, abs_tol=1e-9)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_cosines_of_vectors_too_large_to_square_keep_their_value(data):
+    u = data.draw(finite_vectors)
+    v = data.draw(arrays(np.float64, len(u), elements=_elements).filter(lambda w: float(np.dot(w, w)) >= 1e-12))
+    scale_u, scale_v = (10.0 ** data.draw(st.integers(150, 300)) for _ in range(2))
+    similarity = cosine_similarity(u * scale_u, v * scale_v)
+    assert -1.0 <= similarity <= 1.0
+    assert math.isclose(similarity, cosine_similarity(u, v), abs_tol=1e-9)
 
 
 def test_cosine_distances_match_one_pair_at_a_time():

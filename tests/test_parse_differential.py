@@ -5,7 +5,9 @@ token line, a per-token loop to finish each sentence) and the earlier
 ``extract_fillers`` (dependents map built for every sentence). On
 generated corpora the current code must yield the same sentences, the
 same ``ParseStats``, the same first strict-mode error and line, and the
-same filler counts.
+same filler counts. Given targets and rules, it must yield the oracle's
+sentences that hold a target verb and are under the length cap, and
+count every sentence over the cap.
 """
 
 import io
@@ -177,7 +179,7 @@ def oracle_extract_fillers(sentence, verbs, rules):
 
 TARGETS = ("aprire", "Rompere")
 RULES = ExtractionRules(max_sentence_length=4)  # generated sentences have 1-6 tokens, so the cap drops some
-LEMMAS = ["aprire", "APRIRE", "rompere", "porta", "vetro", "si", "Si"]
+LEMMAS = ["aprire", "APRIRE", "rompere", "ROMPERE", "porta", "vetro", "si", "Si"]
 SEPARATORS = ["\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n", "\n# sent_id = x\n\n"]
 # Lines that never make a block bad, and lines that make it malformed or
 # fail the sentence checks.
@@ -284,3 +286,38 @@ def test_parse_and_count_match_the_earlier_parser(text, strict):
         assert counted == ParseStats(sentences_filtered_by_length=len(sentences) - len(kept))
     else:
         assert sentences == expected
+
+
+def _drain(parse, text, strict, **targets_and_rules):
+    """Every sentence ``parse`` yields before it stops, the (reason, line) of the error that stopped it, and the stats."""
+    stats = ParseStats()
+    sentences = []
+    try:
+        for sentence in parse(io.StringIO(text, newline=""), strict=strict, stats=stats, **targets_and_rules):
+            sentences.append(sentence)
+    except ConllParseError as exc:
+        return sentences, (exc.reason, exc.line_number), stats
+    return sentences, None, stats
+
+
+def _oracle_holds_target(sentence):
+    targets = {verb.lower() for verb in TARGETS}
+    return any(upos in RULES.verb_pos_tags and lemma.lower() in targets for _, _, lemma, upos, _, _ in sentence)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_text(), st.booleans())
+def test_filtered_parse_yields_the_oracle_sentences_that_hold_a_target(text, strict):
+    sentences, error, stats = _drain(parse_conll, text, strict, targets=TARGETS, rules=RULES)
+    expected, expected_error, expected_stats = _drain(oracle_parse_conll, text, strict)
+    cap = RULES.max_sentence_length
+    assert error == expected_error
+    assert [s.tokens for s in sentences] == [s for s in expected if len(s) < cap and _oracle_holds_target(s)]
+    expected_stats.sentences_filtered_by_length = sum(len(s) >= cap for s in expected)
+    assert stats == expected_stats
+
+    # the filtered route counts the fillers and stats of the unfiltered one
+    unfiltered, _, unfiltered_stats = _drain(parse_conll, text, strict)
+    unfiltered_counts = count_fillers(unfiltered, TARGETS, RULES, unfiltered_stats)
+    assert count_fillers(sentences, TARGETS, RULES, stats) == unfiltered_counts
+    assert stats == unfiltered_stats

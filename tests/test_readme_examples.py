@@ -36,6 +36,6 @@ def run_examples(directory: Path, prefix: bytes) -> tuple[list[str], bytes]:
 
 
 def test_readme_examples_run_with_and_without_a_byte_order_mark(tmp_path):
-    assert len(EXAMPLES) == 2
+    assert len(EXAMPLES) == 3
     plain = run_examples(tmp_path / "plain", b"")
     assert plain == run_examples(tmp_path / "bom", BOM)
