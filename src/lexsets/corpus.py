@@ -248,12 +248,10 @@ def parse_conll(
                                 wanted = True
                                 break
             if wanted:
-                sentence = Sentence(tuple(map(new_token, repeat(Token), rows)))
+                yield Sentence(tuple(map(new_token, repeat(Token), rows)))
             rows.clear()
             line_numbers.clear()
             bad_block = False
-            if wanted:
-                yield sentence
             continue
         if line[0] == "#":
             stats.comment_lines += 1
