@@ -150,6 +150,11 @@ def _line_error(parts: list[str]) -> str:
 
 _index_of = itemgetter(0)
 _head_of = itemgetter(4)
+# The index and head spellings of parse_conll's fast path: each key is a
+# plain ASCII decimal, so it cannot start a blank, comment, range or
+# empty-node line, and int(key) is its value. Kept small: 256 entries
+# cost about 20 KB, 1024 about 100 KB.
+_SMALL_INTS = {str(n): n for n in range(256)}
 
 
 def _check_tree(rows: list[tuple], line_numbers: list[int]) -> None:
@@ -217,12 +222,24 @@ def parse_conll(
     line_numbers: list[int] = []
     add_row, add_line_number = rows.append, line_numbers.append
     bad_block = False
+    small_ints = _SMALL_INTS
 
-    line_number = 0
     # The empty line after the stream ends the last sentence like any
     # blank line. Its line number is never reported: errors name token lines.
-    for raw_line in chain(stream, ("",)):
-        line_number += 1
+    for line_number, raw_line in enumerate(chain(stream, ("",)), start=1):
+        # Fast path: a line of 9 or more fields, whose line end lies in the
+        # unread parts[8], with a small plain-decimal index and head and a
+        # lemma and deprel. Every other line takes the checks below, which
+        # give a line that passes here the same row.
+        parts = raw_line.split("\t", 8)
+        if len(parts) == 9:
+            index = small_ints.get(parts[0])
+            head = small_ints.get(parts[6])
+            if index is not None and head is not None and parts[2] and parts[7]:
+                if not bad_block:
+                    add_row((index, parts[1], parts[2], parts[3], head, parts[7]))
+                    add_line_number(line_number)
+                continue
         line = raw_line.rstrip("\r\n")
         if not line.strip():
             wanted = False
@@ -248,7 +265,11 @@ def parse_conll(
                                 wanted = True
                                 break
             if wanted:
-                yield Sentence(tuple(map(new_token, repeat(Token), rows)))
+                # Not tuple(map(...)): that takes a 10-item tuple from its free
+                # list, grows it, and frees it into the free list of its final
+                # size, which fills (up to 2,000 tuples a size) and is never
+                # drawn from. The tuple of a list is taken at its exact size.
+                yield Sentence(tuple(list(map(new_token, repeat(Token), rows))))
             rows.clear()
             line_numbers.clear()
             bad_block = False

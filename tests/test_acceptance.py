@@ -196,6 +196,25 @@ def test_extraction_golden_database(workdir):
     passed("extraction golden test on the hand-verified toy corpus")
 
 
+def test_eight_field_crlf_corpus_gives_the_golden_extract(tmp_path):
+    # toy.conllu's token lines have 10 fields, so parse_conll's fast path reads them; cut to the 8 required
+    # fields and ended by CRLF, every line takes the checked path, which must give the same bytes
+    data = tmp_path / "data"
+    shutil.copytree(DATA_DIR, data)
+    lines = (data / "toy.conllu").read_text(encoding="utf-8").splitlines()
+    token_lines = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    assert len(token_lines) == 177 and all(lines[i].count("\t") == 9 for i in token_lines)
+    for i in token_lines:
+        lines[i] = "\t".join(lines[i].split("\t")[:8])
+    (data / "toy.conllu").write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+    for workers in (1, 2):
+        result = run_cli(data, "extract", "--config", "toy_config.json", "--workers", str(workers))
+        assert result.returncode == 0, result.stderr
+        for name in ["toy_lexsets.json", "toy_lexsets.tsv", "toy_manifest.json"]:
+            assert (data / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), f"{name} (workers={workers})"
+    passed("extraction golden bytes from an 8-field CRLF corpus at workers 1 and 2")
+
+
 # --- criterion: end-to-end golden run -------------------------------------------------
 
 

@@ -8,6 +8,12 @@ same ``ParseStats``, the same first strict-mode error and line, and the
 same filler counts. Given targets and rules, it must yield the oracle's
 sentences that hold a target verb and are under the length cap, and
 count every sentence over the cap.
+
+The generated token lines reach both of the parser's paths: lines of 8,
+9 and 10 fields, whose extra fields are ``_``, empty or hold a ``\r``;
+index and head spellings that ``int()`` accepts but the fast path's
+table lacks (``01``, ``+1``, `` 1``, ``١``, ``1_0``, values of 256 or
+more); and whitespace-only separator lines of 8 or more tabs.
 """
 
 import io
@@ -180,7 +186,13 @@ def oracle_extract_fillers(sentence, verbs, rules):
 TARGETS = ("aprire", "Rompere")
 RULES = ExtractionRules(max_sentence_length=4)  # generated sentences have 1-6 tokens, so the cap drops some
 LEMMAS = ["aprire", "APRIRE", "rompere", "ROMPERE", "porta", "vetro", "si", "Si"]
-SEPARATORS = ["\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n", "\n# sent_id = x\n\n"]
+SEPARATORS = [
+    "\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n", "\n# sent_id = x\n\n",
+    "\t" * 8 + "\n", "\t" * 9 + "\r\n", " \t" * 10 + "\n",
+]
+# Fields after the 8 required ones, 0 to 2 of them.
+EXTRA_FIELDS = ["_", "_", "", "\r"]
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 # Lines that never make a block bad, and lines that make it malformed or
 # fail the sentence checks.
 SKIPPED_KINDS = ["range", "range_short", "empty_node", "comment"]
@@ -190,14 +202,25 @@ FAULTY_KINDS = [
 ]
 
 
-def _layout(index, surface, lemma, upos, head, deprel):
+def _layout(index, surface, lemma, upos, head, deprel, extra=()):
     fields = ["_"] * MIN_FIELDS
     for column, value in zip(
         (INDEX, SURFACE, LEMMA, UPOS, HEAD, DEPREL),
         (index, surface, lemma, upos, head, deprel),
     ):
         fields[column] = str(value)
-    return "\t".join(fields)
+    return "\t".join([*fields, *extra])
+
+
+def spelling(value):
+    """Spellings of an index or head: mostly the plain decimal, else one that ``int()`` reads as the same value."""
+    if not isinstance(value, int) or value < 0:
+        return st.just(value)
+    plain = str(value)
+    underscored = plain[0] + "_" + plain[1:] if len(plain) > 1 else "0_" + plain
+    return st.sampled_from(
+        [plain] * 5 + ["0" + plain, "+" + plain, " " + plain, plain.translate(ARABIC_INDIC_DIGITS), underscored]
+    )
 
 
 @st.composite
@@ -218,13 +241,13 @@ def token_line(draw, n, index, kind):
     elif kind == "empty_deprel":
         deprel = ""
     elif kind == "head_high":
-        head = n + draw(st.integers(1, 3))
+        head = n + draw(st.sampled_from([1, 2, 3, 256, 300]))
     elif kind == "head_negative":
         head = -draw(st.integers(1, 2))
     elif kind == "self_head":
         head = index
     elif kind == "index_shift":
-        index += draw(st.sampled_from([-1, 1, 5]))
+        index += draw(st.sampled_from([-1, 1, 5, 256]))
     elif kind == "range":
         index = f"{index}-{index + 1}"
     elif kind == "range_short":
@@ -237,13 +260,23 @@ def token_line(draw, n, index, kind):
         index = f"{index}.x"
     elif kind == "comment":
         return draw(st.sampled_from(["# text = a b", f"# sent_id = s{index}", "#sent_id=bare", "# note"]))
-    return _layout(index, lemma, lemma, upos, head, deprel)
+    index, head = draw(spelling(index)), draw(spelling(head))
+    return _layout(index, lemma, lemma, upos, head, deprel, draw(st.lists(st.sampled_from(EXTRA_FIELDS), max_size=2)))
+
+
+def long_sentence(n):
+    """A valid chain of ``n`` tokens: with ``n`` over 255, indices and heads outside the fast path's table."""
+    return [_layout(index, "porta", "porta", "NOUN", index - 1, "dep", ["_", "_"]) + "\n" for index in range(1, n + 1)]
 
 
 @st.composite
 def corpus_text(draw):
     parts = []
     for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 15)) == 0:
+            parts.extend(long_sentence(draw(st.integers(254, 258))))
+            parts.append(draw(st.sampled_from(SEPARATORS)))
+            continue
         n = draw(st.integers(1, 6))
         lines = [draw(token_line(n, index, "good")) for index in range(1, n + 1)]
         for _ in range(draw(st.integers(0, 2))):
