@@ -184,7 +184,7 @@ def oracle_extract_fillers(sentence, verbs, rules):
 # --- generated corpora ----------------------------------------------------
 
 TARGETS = ("aprire", "Rompere")
-RULES = ExtractionRules(max_sentence_length=4)  # generated sentences have 1-6 tokens, so the cap drops some
+RULES = ExtractionRules(max_sentence_length=4)  # generated sentences have 1-6 tokens or over 250, so the cap drops some
 LEMMAS = ["aprire", "APRIRE", "rompere", "ROMPERE", "porta", "vetro", "si", "Si"]
 SEPARATORS = [
     "\n", "\r\n", "  \n", "\t\r\n", " \n\n", "\n\r\n", "\n# sent_id = x\n\n",
@@ -219,7 +219,7 @@ def spelling(value):
     plain = str(value)
     underscored = plain[0] + "_" + plain[1:] if len(plain) > 1 else "0_" + plain
     return st.sampled_from(
-        [plain] * 5 + ["0" + plain, "+" + plain, " " + plain, plain.translate(ARABIC_INDIC_DIGITS), underscored]
+        [plain] * 10 + ["0" + plain, "+" + plain, " " + plain, plain.translate(ARABIC_INDIC_DIGITS), underscored]
     )
 
 
@@ -261,7 +261,8 @@ def token_line(draw, n, index, kind):
     elif kind == "comment":
         return draw(st.sampled_from(["# text = a b", f"# sent_id = s{index}", "#sent_id=bare", "# note"]))
     index, head = draw(spelling(index)), draw(spelling(head))
-    return _layout(index, lemma, lemma, upos, head, deprel, draw(st.lists(st.sampled_from(EXTRA_FIELDS), max_size=2)))
+    extra = [draw(st.sampled_from(EXTRA_FIELDS)) for _ in range(draw(st.integers(0, 2)))]
+    return _layout(index, lemma, lemma, upos, head, deprel, extra)
 
 
 def long_sentence(n):
@@ -273,7 +274,7 @@ def long_sentence(n):
 def corpus_text(draw):
     parts = []
     for _ in range(draw(st.integers(0, 8))):
-        if draw(st.integers(0, 15)) == 0:
+        if draw(st.integers(0, 31)) == 0:
             parts.extend(long_sentence(draw(st.integers(254, 258))))
             parts.append(draw(st.sampled_from(SEPARATORS)))
             continue
