@@ -315,11 +315,12 @@ def _merge_shards(shards: list[tuple[str, int, int]], start, worker_died: tuple[
 def _run_extraction(config: RunConfig, targets: frozenset[str]):
     """Extract every corpus file as ``worker_count`` byte-range shards; they run in process when one process would."""
     workers = config.worker_count
-    shards = [
-        (path, start, end)
-        for path in config.corpus_paths
-        for start, end in _cut_ranges(path, (os.path.getsize(path) * i // workers for i in range(1, workers)))
-    ]
+    shards = []
+    for path in config.corpus_paths:
+        size = os.path.getsize(path)
+        # past one offset a byte, more parts give the same cuts, each at the cost of a seek and a scan
+        parts = min(workers, max(size, 1))
+        shards += [(path, start, end) for start, end in _cut_ranges(path, (size * i // parts for i in range(1, parts)))]
     arguments = (*zip(*shards), repeat(targets), repeat(config.rules), repeat(config.strict_parsing))
     # more processes than usable CPUs would only wait; the shards, and so the outputs, stay the same
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -134,20 +134,6 @@ class ParseStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def _line_error(parts: list[str]) -> str:
-    """Why a token line that failed the check in :func:`parse_conll` is malformed."""
-    if len(parts) < 8:
-        return f"expected at least 8 tab-separated fields, got {len(parts)}"
-    raw_index = parts[0]
-    raw_head = parts[6]
-    try:
-        int(raw_index)
-        int(raw_head)
-    except ValueError:
-        return f"non-numeric index/head ({raw_index!r}, {raw_head!r})"
-    return "empty lemma or deprel field"
-
-
 _index_of = itemgetter(0)
 _head_of = itemgetter(4)
 # The index and head spellings of parse_conll's fast path: each key is a
@@ -212,7 +198,7 @@ def parse_conll(
     if rules is not None:
         cap = rules.max_sentence_length
         verb_pos_tags = rules.verb_pos_tags
-        lowered = {target.lower() for target in targets}
+        lowered = _lowered(targets, "targets")
     # A Token is a NamedTuple; building it through tuple.__new__ skips the
     # keyword-handling __new__ the class generates.
     new_token = tuple.__new__
@@ -243,27 +229,27 @@ def parse_conll(
         line = raw_line.rstrip("\r\n")
         if not line.strip():
             wanted = False
-            if bad_block:
-                stats.sentences_skipped += 1
-            elif rows:
+            if rows and not bad_block:
                 try:
                     _check_tree(rows, line_numbers)
                 except ConllParseError:
                     if strict:
                         raise
-                    stats.sentences_skipped += 1
+                    bad_block = True
+            if bad_block:
+                stats.sentences_skipped += 1
+            elif rows:
+                stats.sentences_parsed += 1
+                if rules is None:
+                    wanted = True
+                elif len(rows) >= cap:
+                    stats.sentences_filtered_by_length += 1
                 else:
-                    stats.sentences_parsed += 1
-                    if rules is None:
-                        wanted = True
-                    elif len(rows) >= cap:
-                        stats.sentences_filtered_by_length += 1
-                    else:
-                        # the token test of _sentence_fillers; a plain loop, which is cheaper than any() here
-                        for row in rows:
-                            if row[3] in verb_pos_tags and row[2].lower() in lowered:
-                                wanted = True
-                                break
+                    # the token test of _sentence_fillers; a plain loop, which is cheaper than any() here
+                    for row in rows:
+                        if row[3] in verb_pos_tags and row[2].lower() in lowered:
+                            wanted = True
+                            break
             if wanted:
                 # Not tuple(map(...)): that takes a 10-item tuple from its free
                 # list, grows it, and frees it into the free list of its final
@@ -288,25 +274,23 @@ def parse_conll(
             if major.isdecimal() and minor.isdecimal():
                 stats.range_lines_skipped += 1
                 continue
-        # Checked in the order of the error texts in _line_error: field
-        # count, then numeric index and head, then non-empty lemma and deprel.
-        try:
-            if field_count < 8:
-                raise ValueError
-            index = int(raw_index)
-            head = int(parts[6])
-            lemma = parts[2]
-            deprel = parts[7]
-            if not lemma or not deprel:
-                raise ValueError
-        except ValueError:
+        if field_count < 8:
+            error = f"expected at least 8 tab-separated fields, got {field_count}"
+        else:
+            try:
+                index = int(raw_index)
+                head = int(parts[6])
+            except ValueError:
+                error = f"non-numeric index/head ({raw_index!r}, {parts[6]!r})"
+            else:
+                error = None if parts[2] and parts[7] else "empty lemma or deprel field"
+        if error is not None:
             if strict:
-                raise ConllParseError(_line_error(parts), line_number) from None
+                raise ConllParseError(error, line_number)
             stats.malformed_lines += 1
             bad_block = True
-            continue
-        if not bad_block:
-            add_row((index, parts[1], lemma, parts[3], head, deprel))
+        elif not bad_block:
+            add_row((index, parts[1], parts[2], parts[3], head, parts[7]))
             add_line_number(line_number)
 
 
@@ -320,7 +304,14 @@ def extract_fillers(sentence: Sentence, verbs: Iterable[str], rules: ExtractionR
     or it carries the clitic (which overrides the object test).
     Lemmas are lower-cased on output.
     """
-    return _sentence_fillers(sentence, {v.lower() for v in verbs}, rules)
+    return _sentence_fillers(sentence, _lowered(verbs, "verbs"), rules)
+
+
+def _lowered(verbs: Iterable[str], name: str) -> set[str]:
+    """The lower-cased verb lemmas; a string, which would become the set of its letters, is a TypeError."""
+    if isinstance(verbs, str):
+        raise TypeError(f"{name} must be a collection of verb lemmas, not the string {verbs!r}")
+    return {verb.lower() for verb in verbs}
 
 
 def _sentence_fillers(sentence: Sentence, targets: set[str], rules: ExtractionRules) -> list[tuple[str, str, str]]:
@@ -360,7 +351,7 @@ def count_fillers(
     """
     if stats is None:
         stats = ParseStats()
-    targets = {v.lower() for v in verbs}
+    targets = _lowered(verbs, "verbs")
     cap = rules.max_sentence_length
     counts: Counter = Counter()
     for sentence in sentences:

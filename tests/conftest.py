@@ -17,18 +17,21 @@ GOLDEN_DIR = DATA_DIR / "golden"
 PACKAGE_ROOT = Path(lexsets.__file__).resolve().parents[1]
 
 
-def run_python(cwd, *args):
-    """Run ``python <args>`` in ``cwd`` with this suite's ``lexsets`` importable; capture code and output."""
+def run_python(cwd, *args, timeout=None):
+    """Run ``python <args>`` in ``cwd`` with this suite's ``lexsets`` importable; capture code and output.
+
+    A run still going after ``timeout`` seconds is killed, and raises ``subprocess.TimeoutExpired``.
+    """
     pythonpath = [str(PACKAGE_ROOT)]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def run_cli(cwd, *args):
+def run_cli(cwd, *args, timeout=None):
     """Run ``python -m lexsets.cli`` in ``cwd`` and capture its exit code and output."""
-    return run_python(cwd, "-m", "lexsets.cli", *args)
+    return run_python(cwd, "-m", "lexsets.cli", *args, timeout=timeout)
 
 
 @pytest.fixture

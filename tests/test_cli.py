@@ -110,6 +110,14 @@ def test_worker_count_does_not_change_outputs(workdir, workers):
         assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
 
 
+def test_a_billion_workers_cut_each_file_at_most_once_a_byte(workdir):
+    # past one offset a byte, more workers add no cut; the run must not scan the file once for each of them
+    result = run_cli(workdir, "extract", "--config", "toy_config.json", "--workers", "1000000000", timeout=60)
+    assert result.returncode == 0, result.stderr
+    for name in EXTRACT_FILES:
+        assert read_out(workdir, name) == (GOLDEN_DIR / name).read_bytes(), name
+
+
 def test_staged_equals_combined(workdir):
     result = run_cli(workdir, "extract", "--config", "toy_config.json")
     assert result.returncode == 0, result.stderr

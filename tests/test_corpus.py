@@ -84,23 +84,30 @@ def test_head_out_of_range_raises_with_line_number():
     assert excinfo.value.line_number == 2
 
 
-@pytest.mark.parametrize(
-    "bad_line",
-    [
-        "1\tonly\tthree\tfields",
-        conll_line("x", "a", "a", "X", 0, "root"),
-        conll_line(1, "a", "a", "X", "y", "root"),
-        conll_line(1, "a", "", "X", 0, "root"),
-    ],
-)
-def test_malformed_lines_raise_in_strict_mode(bad_line):
-    with pytest.raises(ConllParseError):
+def fields(count, *values):
+    """The first ``count`` fields of conll_line's token line."""
+    return "\t".join(conll_line(*values).split("\t")[:count])
+
+
+# A line with more than one fault is refused for the first of: fewer than
+# 8 fields, a non-numeric index or head, an empty lemma or deprel.
+MALFORMED_LINES = [
+    ("1\tonly\tthree\tfields", "expected at least 8 tab-separated fields, got 4"),
+    (conll_line("x", "a", "a", "X", 0, "root"), "non-numeric index/head ('x', '0')"),
+    (conll_line(1, "a", "a", "X", "y", "root"), "non-numeric index/head ('1', 'y')"),
+    (conll_line(1, "a", "", "X", 0, "root"), "empty lemma or deprel field"),
+    (conll_line(1, "a", "a", "X", 0, ""), "empty lemma or deprel field"),
+    (fields(7, "x", "a", "a", "X", 0, "root"), "expected at least 8 tab-separated fields, got 7"),
+    *[(fields(count, "x", "a", "", "X", 0, "root"), "non-numeric index/head ('x', '0')") for count in (8, 9, 10)],
+    *[(fields(count, 1, "a", "a", "X", "y", ""), "non-numeric index/head ('1', 'y')") for count in (8, 9, 10)],
+]
+
+
+@pytest.mark.parametrize("bad_line, message", MALFORMED_LINES, ids=[line for line, _ in MALFORMED_LINES])
+def test_malformed_lines_raise_in_strict_mode(bad_line, message):
+    with pytest.raises(ConllParseError) as excinfo:
         parse_text(bad_line)
-
-
-def test_too_few_fields_error_text():
-    with pytest.raises(ConllParseError, match=r"^line 1: expected at least 8 tab-separated fields, got 4$"):
-        parse_text("1\tonly\tthree\tfields")
+    assert str(excinfo.value) == f"line 1: {message}"
 
 
 def test_self_loop_head_rejected():
@@ -241,6 +248,12 @@ def test_parse_conll_takes_targets_and_rules_together():
     for keywords in ({"targets": {"aprire"}}, {"rules": ExtractionRules()}):
         with pytest.raises(TypeError, match="together"):
             list(parse_conll(io.StringIO(""), **keywords))
+
+
+def test_parse_conll_refuses_a_string_of_targets():
+    # a string is iterable too, and would become the set of its letters
+    with pytest.raises(TypeError, match="^targets must be a collection of verb lemmas, not the string 'rompere'$"):
+        list(parse_conll(io.StringIO(""), targets="rompere", rules=RULES))
 
 
 # --- extract_fillers -----------------------------------------------------
@@ -410,6 +423,20 @@ def test_count_fillers_matches_per_sentence_extraction():
     assert counts == {("aprire", "S", "porta"): 1, ("aprire", "O", "porta"): 1}
     sets = lexical_sets_from_counts(counts)
     assert sets[("aprire", "S")].counts == {"porta": 1}
+
+
+STRING_OF_VERBS = "^verbs must be a collection of verb lemmas, not the string 'rompere'$"
+
+
+def test_count_fillers_refuses_a_string_of_verbs():
+    with pytest.raises(TypeError, match=STRING_OF_VERBS):
+        count_fillers([], "rompere", RULES)
+
+
+def test_extract_fillers_refuses_a_string_of_verbs():
+    sentence = make_sentence((1, "ruppe", "rompere", "VERB", 0, "root"))
+    with pytest.raises(TypeError, match=STRING_OF_VERBS):
+        extract_fillers(sentence, "rompere", RULES)
 
 
 def test_library_route_writes_the_golden_database():
