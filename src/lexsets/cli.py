@@ -102,12 +102,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
         rules = ExtractionRules.from_dict(data.get("rules", {}))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad extraction rules: {exc}") from None
-    try:
-        return RunConfig(**{**data, "rules": rules})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    return RunConfig(**{**data, "rules": rules})
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:

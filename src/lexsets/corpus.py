@@ -48,7 +48,8 @@ class ExtractionRules:
     """Relation labels and thresholds driving the extraction.
 
     Labels are configuration because they are tagset-specific; the
-    defaults are dobj / nsubj / nsubjpass.
+    defaults are dobj / nsubj / nsubjpass. Each label set, given as a
+    list, set or frozenset of strings, is stored as a frozenset.
     """
 
     object_relations: frozenset[str] = frozenset({"dobj"})
@@ -59,6 +60,13 @@ class ExtractionRules:
     verb_pos_tags: frozenset[str] = frozenset({"VERB"})
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, frozenset):
+                labels = getattr(self, f.name)
+                # a string is iterable too, and would become the set of its characters
+                if not isinstance(labels, (list, set, frozenset)) or not all(isinstance(item, str) for item in labels):
+                    raise ValueError(f"{f.name} must be a list of strings, got {labels!r}")
+                object.__setattr__(self, f.name, frozenset(labels))
         # bool is an int subclass, and JSON true would pass as 1
         if not isinstance(self.max_sentence_length, int) or isinstance(self.max_sentence_length, bool):
             raise ValueError(f"max_sentence_length must be an integer, got {self.max_sentence_length!r}")
@@ -87,15 +95,7 @@ class ExtractionRules:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown extraction-rule fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for f in fields(cls):
-            if f.name in kwargs and isinstance(f.default, frozenset):
-                labels = kwargs[f.name]
-                # a string is iterable too, and would become the set of its characters
-                if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-                    raise ValueError(f"{f.name} must be a list of strings, got {labels!r}")
-                kwargs[f.name] = frozenset(labels)
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass
@@ -189,16 +189,21 @@ def parse_conll(
     ``rules.max_sentence_length`` tokens that hold a token whose UPOS is
     in ``rules.verb_pos_tags`` and whose lemma, lower-cased, is a
     lower-cased target. Each sentence at or over the cap is counted in
-    ``stats.sentences_filtered_by_length``, target or not.
+    ``stats.sentences_filtered_by_length``, target or not. Argument
+    errors are TypeErrors raised at the call, before any line is read.
     """
     if (targets is None) != (rules is None):
         raise TypeError("parse_conll takes targets and rules together or not at all")
-    if stats is None:
-        stats = ParseStats()
+    lowered = None if targets is None else _lowered(targets, "targets")
+    return _parsed_sentences(stream, strict, ParseStats() if stats is None else stats, rules, lowered)
+
+
+def _parsed_sentences(stream: Iterable[str], strict: bool, stats: ParseStats, rules: ExtractionRules | None,
+                      lowered: set[str] | None) -> Iterator[Sentence]:
+    """The generator of :func:`parse_conll`, whose ``lowered`` targets are given exactly when ``rules`` is."""
     if rules is not None:
         cap = rules.max_sentence_length
         verb_pos_tags = rules.verb_pos_tags
-        lowered = _lowered(targets, "targets")
     # A Token is a NamedTuple; building it through tuple.__new__ skips the
     # keyword-handling __new__ the class generates.
     new_token = tuple.__new__
@@ -266,14 +271,10 @@ def parse_conll(
         parts = line.split("\t")
         field_count = len(parts)
         raw_index = parts[0]
-        if "-" in raw_index:
+        major, _, minor = raw_index.partition(".")
+        if "-" in raw_index or (field_count >= 8 and major.isdecimal() and minor.isdecimal()):
             stats.range_lines_skipped += 1
             continue
-        if "." in raw_index and field_count >= 8:
-            major, _, minor = raw_index.partition(".")
-            if major.isdecimal() and minor.isdecimal():
-                stats.range_lines_skipped += 1
-                continue
         if field_count < 8:
             error = f"expected at least 8 tab-separated fields, got {field_count}"
         else:

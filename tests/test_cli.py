@@ -6,12 +6,16 @@ import multiprocessing
 import os
 import shutil
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsets import cli, report
 from lexsets.cli import load_config, main
+from lexsets.corpus import ExtractionRules
 from lexsets.embeddings import load_text_vectors
 from lexsets.errors import ConfigError, PlotSpecError, VectorFormatError
 
@@ -1304,6 +1308,42 @@ def test_load_config_requires_fields(tmp_path):
     path.write_text(json.dumps({"corpus_paths": ["x"]}))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+RULE_FIELDS = st.fixed_dictionaries({}, optional={f.name: JSON_VALUES for f in fields(ExtractionRules)})
+CONFIG_FIELDS = st.fixed_dictionaries({}, optional={
+    f.name: RULE_FIELDS | JSON_VALUES if f.name == "rules" else JSON_VALUES for f in fields(cli.RunConfig)
+})
+VALID_CONFIG = {"corpus_paths": ["toy.conllu"], "vectors_path": "toy_vectors.txt",
+                "inventory_path": "toy_inventory.json", "output_prefix": "out/toy"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([{}, VALID_CONFIG]), data=CONFIG_FIELDS)
+def test_load_config_returns_a_config_or_raises_a_config_error(tmp_path_factory, base, data):
+    # load_config keeps no handler for errors RunConfig and from_dict do not raise
+    path = tmp_path_factory.getbasetemp() / "drawn_config.json"
+    path.write_text(json.dumps({**base, **data}), encoding="utf-8")
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(config, cli.RunConfig)
+
+
+@settings(max_examples=300)
+@given(data=RULE_FIELDS | JSON_VALUES)
+def test_rules_from_json_raise_only_value_errors(data):
+    try:
+        rules = ExtractionRules.from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(rules, ExtractionRules)
 
 
 def test_run_config_defaults_reach_the_required_field_checks():

@@ -247,13 +247,13 @@ def test_length_filter_is_strict(length, counted):
 def test_parse_conll_takes_targets_and_rules_together():
     for keywords in ({"targets": {"aprire"}}, {"rules": ExtractionRules()}):
         with pytest.raises(TypeError, match="together"):
-            list(parse_conll(io.StringIO(""), **keywords))
+            parse_conll(io.StringIO(""), **keywords)  # at the call, before any sentence is asked for
 
 
 def test_parse_conll_refuses_a_string_of_targets():
     # a string is iterable too, and would become the set of its letters
     with pytest.raises(TypeError, match="^targets must be a collection of verb lemmas, not the string 'rompere'$"):
-        list(parse_conll(io.StringIO(""), targets="rompere", rules=RULES))
+        parse_conll(io.StringIO(""), targets="rompere", rules=RULES)  # at the call, before any sentence is asked for
 
 
 # --- extract_fillers -----------------------------------------------------
@@ -739,13 +739,35 @@ def test_rules_roundtrip_through_dict():
     assert ExtractionRules.from_dict(rules.to_dict()) == rules
 
 
-@pytest.mark.parametrize(
-    "name", ["object_relations", "passive_subject_relations", "subject_relations", "verb_pos_tags"]
-)
+LABEL_FIELDS = ["object_relations", "passive_subject_relations", "subject_relations", "verb_pos_tags"]
+
+
+@pytest.mark.parametrize("name", LABEL_FIELDS)
 @pytest.mark.parametrize("value", ["dobj", ("dobj",), {"dobj": 1}, ["dobj", 1]])
 def test_rules_require_a_list_of_labels(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be a list of strings"):
+    message = f"^{name} must be a list of strings, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         ExtractionRules.from_dict({name: value})
+    with pytest.raises(ValueError, match=message):  # the library route checks the same rule
+        ExtractionRules(**{name: value})
+
+
+def test_a_string_of_verb_pos_tags_is_refused_not_matched_as_a_substring():
+    # UPOS "V" is a substring of "VERB", so the string would take rompere as a verb
+    text = "\n".join([conll_line(1, "rompe", "rompere", "V", 0, "root"),
+                      conll_line(2, "vetro", "vetro", "NOUN", 1, "dobj")]) + "\n"
+    with pytest.raises(ValueError, match="^verb_pos_tags must be a list of strings, got 'VERB'$"):
+        ExtractionRules(verb_pos_tags="VERB")
+    assert count_fillers(parse_text(text), {"rompere"}, ExtractionRules(verb_pos_tags=frozenset({"VERB"}))) == {}
+
+
+@pytest.mark.parametrize("name", LABEL_FIELDS)
+@pytest.mark.parametrize("collection", [list, set])
+def test_rules_store_a_list_or_set_of_labels_as_a_frozenset(name, collection):
+    default = getattr(RULES, name)
+    rules = ExtractionRules(**{name: collection(default)})
+    assert rules == RULES
+    assert type(getattr(rules, name)) is frozenset
 
 
 @pytest.mark.parametrize("value", [True, False, 2.5, "9", None])
