@@ -146,7 +146,8 @@ def spearman(x: Mapping[Hashable, float], y: Mapping[Hashable, float]) -> Correl
     ties). The two-sided p-value is an exact permutation count for
     n <= 10 and the Student-t approximation above that. The exact count
     needs rank values, such as :func:`rank_values` returns: multiples of
-    1/2 in [1, n]; other values raise :class:`InputError`.
+    1/2 in [1, n]; other values raise :class:`InputError`, as a NaN or
+    infinite rank does on either path.
     """
     if set(x) != set(y):
         raise InputError("rankings must cover the same key set")
@@ -156,6 +157,8 @@ def spearman(x: Mapping[Hashable, float], y: Mapping[Hashable, float]) -> Correl
         raise InputError(f"need at least 3 paired ranks, got {n}")
     x_vals = np.asarray([x[k] for k in keys], dtype=np.float64)
     y_vals = np.asarray([y[k] for k in keys], dtype=np.float64)
+    if not (np.all(np.isfinite(x_vals)) and np.all(np.isfinite(y_vals))):
+        raise InputError("paired ranks must be finite")
     x_centered = x_vals - x_vals.mean()
     y_centered = y_vals - y_vals.mean()
     if not np.any(x_centered) or not np.any(y_centered):

@@ -345,23 +345,25 @@ def _run_extraction(config: RunConfig, targets: frozenset[str]):
 
 # Each command checks its inputs once, in _prepare, then runs the stage bodies on the inventory it returns.
 def cmd_extract(config: RunConfig) -> int:
-    return _extract(config, _prepare(config, config.corpus_paths))
+    _extract(config, _prepare(config, config.corpus_paths))
+    return EXIT_OK
 
 
 def cmd_analyze(config: RunConfig, database_path: str | None = None) -> int:
-    # a database named on the command line is read without a manifest
-    manifest_path = None if database_path else _prefix_path(config, "manifest.json")
-    database_path = database_path or _prefix_path(config, "lexsets.json")
-    return _analyze(config, _prepare(config, [database_path, config.vectors_path]), database_path, manifest_path)
+    path = database_path or _prefix_path(config, "lexsets.json")
+    inventory = _prepare(config, [path, config.vectors_path])
+    sets = _read_input(path, read_database)
+    if not database_path:  # a database named on the command line is read without a manifest
+        _check_extract_manifest(_prefix_path(config, "manifest.json"), path, sum(s.total_count for s in sets.values()))
+    return _analyze(config, inventory, sets, path)
 
 
 def cmd_run(config: RunConfig) -> int:
     inventory = _prepare(config, [*config.corpus_paths, config.vectors_path])
-    _extract(config, inventory)
-    return _analyze(config, inventory, _prefix_path(config, "lexsets.json"))
+    return _analyze(config, inventory, _extract(config, inventory), _prefix_path(config, "lexsets.json"))
 
 
-def _extract(config: RunConfig, inventory: VerbInventory) -> int:
+def _extract(config: RunConfig, inventory: VerbInventory) -> dict[tuple[str, str], LexicalSet]:
     targets = frozenset(inventory.lemmas)
     sets, manifest = _run_extraction(config, targets)
     # the writers are looked up here, where a wrapper set on this module replaces them
@@ -369,18 +371,15 @@ def _extract(config: RunConfig, inventory: VerbInventory) -> int:
     _commit(config, outputs, "manifest.json", manifest)
     if not sets:
         print("warning: no target-verb occurrences found; database is empty", file=sys.stderr)
-    return EXIT_OK
+    return sets
 
 
-def _analyze(config: RunConfig, inventory: VerbInventory, database_path: str,
-             manifest_path: str | None = None) -> int:
-    """Analyse the database; with ``manifest_path``, first check it against that extract manifest."""
+def _analyze(config: RunConfig, inventory: VerbInventory, sets: dict[tuple[str, str], LexicalSet],
+             database_path: str) -> int:
+    """Analyse ``sets``; ``database_path`` names their database in the analysis manifest."""
     from . import report
 
     this = sys.modules[__name__]  # see __getattr__
-    sets = _read_input(database_path, read_database)
-    if manifest_path:
-        _check_extract_manifest(manifest_path, database_path, sum(ls.total_count for ls in sets.values()))
     fillers = {lemma for lex_set in sets.values() for lemma in lex_set.counts}
     store = _read_input(config.vectors_path, lambda stream: this.load_text_vectors(stream, vocabulary=fillers))
 

@@ -409,8 +409,11 @@ def _rounded(obj):
 
 
 def json_text(obj) -> str:
-    """``obj`` as every JSON artifact's text: floats rounded to 6 decimals, raw UTF-8, indent 2, a final newline."""
-    return json.dumps(_rounded(obj), ensure_ascii=False, indent=2) + "\n"
+    """``obj`` as every JSON artifact's text: floats rounded to 6 decimals, raw UTF-8, indent 2, a final newline.
+
+    A NaN or infinite float, which strict JSON has no token for, is a ValueError.
+    """
+    return json.dumps(_rounded(obj), ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
 
 def write_database(sets: Mapping[tuple[str, str], LexicalSet], stream: IO[str]) -> None:

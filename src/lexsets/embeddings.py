@@ -80,7 +80,10 @@ def load_text_vectors(stream: Iterable[str], *, vocabulary: Collection[str] | No
 
     With a ``vocabulary``, only the rows of its words are held. Every
     row is still checked, so a malformed row raises whether or not it is
-    held, and ``stats()`` describes the whole stream.
+    held, and ``stats()`` describes the whole stream. A ``vocabulary``
+    that is a string, whose ``in`` would match substrings, or that is not
+    a collection, such as a generator that the first ``in`` would use
+    up, is a TypeError.
 
     After the first data line, the lines are read in blocks of
     ``lexsets.vectorfile.BLOCK_LINES`` and each block is parsed by numpy's text reader. A
@@ -88,6 +91,8 @@ def load_text_vectors(stream: Iterable[str], *, vocabulary: Collection[str] | No
     read again one row at a time, which accepts every spelling
     ``float()`` does and raises the error of its first bad line.
     """
+    if isinstance(vocabulary, str) or not isinstance(vocabulary, (Collection, type(None))):
+        raise TypeError(f"vocabulary must be a collection of words or None, got {vocabulary!r}")
     return EmbeddingStore.__new__(EmbeddingStore)._hold(*_VectorReader(vocabulary).read(stream))
 
 

@@ -39,7 +39,9 @@ def _ticks(low: float, high: float, count: int = 5) -> list[float]:
     if high <= low:
         high = low + 1.0
     raw_step = (high - low) / count
-    magnitude = 10.0 ** math.floor(math.log10(raw_step))
+    magnitude = 10.0 ** math.floor(math.log10(raw_step)) if 0.0 < raw_step < math.inf else 0.0
+    if magnitude == 0.0:  # finite values as far apart as -1e308 and 1e308, or an axis narrower than a float step
+        raise PlotSpecError(f"plotted values need a y axis from {low!r} to {high!r}, which float ticks cannot divide")
     step = magnitude * min(n for n in (1.0, 2.0, 2.5, 5.0, 10.0) if raw_step / magnitude <= n)
     first = math.ceil(low / step - 1e-9) * step
     ticks = []
@@ -104,6 +106,12 @@ class _Canvas:
         return "\n".join(self.parts) + "\n"
 
 
+def _check_finite(kind: str, values, item) -> None:
+    """PlotSpecError unless each of ``values``, the numbers of ``item`` that a plot places, is a finite number."""
+    if not all(isinstance(value, Real) and math.isfinite(value) for value in values):
+        raise PlotSpecError(f"{kind} values must be finite numbers, got {item!r}")
+
+
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
@@ -125,6 +133,7 @@ def _render_box_panel(spec: PlotSpec) -> str:
         if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
                 and isinstance(item[1], BoxStats)):
             raise PlotSpecError("box_whisker_panel series items must be (label, BoxStats)")
+        _check_finite(spec.kind, astuple(item[1]), item)
     boxes: list[tuple[str, BoxStats]] = spec.series
     canvas = _Canvas(
         spec,
@@ -161,6 +170,7 @@ def _render_median_by_rank(spec: PlotSpec) -> str:
             raise PlotSpecError("median_by_rank series items must be (label, rank, median)")
         if not (isinstance(item[0], str) and isinstance(item[1], Real) and isinstance(item[2], Real)):
             raise PlotSpecError(f"median_by_rank items need a text label and numeric rank and median, got {item!r}")
+        _check_finite(spec.kind, item[1:], item)
     points = sorted(spec.series, key=lambda item: item[1])
     values = [v for _, _, v in points]
     canvas = _Canvas(spec, [label for label, _, _ in points], min(values), max(values))
@@ -197,6 +207,7 @@ def _render_ranking_comparison(spec: PlotSpec) -> str:
             if not (isinstance(point, tuple) and len(point) == 2 and isinstance(point[0], str)
                     and isinstance(point[1], Real)):
                 raise PlotSpecError(f"ranking_comparison points must be (label, number) pairs, got {point!r}")
+            _check_finite(spec.kind, point[1:], point)
         label_sets.append({label for label, _ in item[1]})
     if any(labels != label_sets[0] for labels in label_sets[1:]):
         raise PlotSpecError("ranking_comparison series must cover the same labels")

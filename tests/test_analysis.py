@@ -325,6 +325,19 @@ def test_exact_permutation_needs_rank_values(x):
         spearman(x, {"a": 1.0, "b": 2.0, "c": 3.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [3, 12], ids=["exact-path", "t-path"])
+def test_non_finite_ranks_rejected(bad, n):
+    # unchecked, a NaN fails as a zero-norm cosine and an infinity warns in the centring subtraction
+    x = {str(i): float(i + 1) for i in range(n)}
+    y = dict(x)
+    x["0"] = bad
+    with pytest.raises(InputError, match="^paired ranks must be finite$"):
+        spearman(x, y)
+    with pytest.raises(InputError, match="^paired ranks must be finite$"):
+        spearman(y, x)
+
+
 def test_monotone_invariance_through_ranking():
     raw = [3, -1, 4, 1, -5, 9, 2, 6, 5, -3, 8, 7]
     transformed = [v**3 for v in raw]

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import inspect
 import io
 import json
 import multiprocessing
@@ -584,6 +585,25 @@ def test_analyze_calls_the_vector_loader_and_analysis_set_on_the_cli_module(work
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cli.no_such_name
     assert not hasattr(cli, "__path__") and not hasattr(cli, "__all__")  # the package's own, not its exports
+
+
+def test_run_analyses_the_sets_it_extracted_and_analyze_reads_its_database_once(workdir, monkeypatch):
+    reads = []
+    read_database = cli.read_database
+
+    def counting(stream):
+        reads.append(stream.name)
+        return read_database(stream)
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli, "read_database", counting)
+    assert main(["run", "--config", "toy_config.json"]) == 0
+    assert reads == []
+    run_outputs = {name: read_out(workdir, name) for name in OUTPUT_FILES}
+    assert main(["analyze", "--config", "toy_config.json"]) == 0
+    assert reads == ["out/toy_lexsets.json"]
+    assert {name: read_out(workdir, name) for name in OUTPUT_FILES} == run_outputs
+    assert "manifest_path" not in inspect.signature(cli._analyze).parameters
 
 
 def test_undecodable_vector_file_names_the_file(workdir):

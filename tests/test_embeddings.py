@@ -139,6 +139,21 @@ def test_empty_vocabulary_holds_no_rows():
     assert store.stats()["entries"] == 2
 
 
+@pytest.mark.parametrize("vocabulary", ["porta", (word for word in ["vetro"]), 3], ids=["string", "generator", "int"])
+def test_vocabulary_must_be_a_collection_of_words(vocabulary):
+    # a string would hold 'p' and 'or' by substring; a generator would be used up by the first row's test
+    with pytest.raises(TypeError, match="^vocabulary must be a collection of words or None, got "):
+        load_text_vectors(io.StringIO("porta 1 0\np 0 1\nor 1 1\nvetro 2 2\n"), vocabulary=vocabulary)
+
+
+@pytest.mark.parametrize("vocabulary", [{"porta", "vetro"}, frozenset({"porta", "vetro"}), ["porta", "vetro"],
+                                        ("porta", "vetro"), {"porta": 1, "vetro": 2}.keys()],
+                         ids=["set", "frozenset", "list", "tuple", "dict-keys"])
+def test_vocabulary_collections_are_accepted(vocabulary):
+    store = load_text_vectors(io.StringIO("porta 1 0\np 0 1\nor 1 1\nvetro 2 2\n"), vocabulary=vocabulary)
+    assert list(store) == ["porta", "vetro"]
+
+
 def test_rows_past_the_first_allocation_are_kept():
     rng = np.random.default_rng(2)
     vectors = rng.standard_normal((3000, 3))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -171,11 +172,56 @@ def test_axis_labels_present():
             PlotSpec(kind="ranking_comparison", title="t", series=[("r", 5)]),
             r"ranking_comparison series items must be \(name, \[\(label, rank\), \.\.\.\]\)",
         ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1, math.nan), ("b", 2, 0.5)]),
+            r"median_by_rank values must be finite numbers, got \('a', 1, nan\)",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1, 0.5), ("b", math.nan, 0.3)]),
+            r"median_by_rank values must be finite numbers, got \('b', nan, 0\.3\)",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1, 0.5), ("b", 2, -math.inf)]),
+            r"median_by_rank values must be finite numbers, got \('b', 2, -inf\)",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1, 1e308), ("b", 2, -1e308)]),
+            r"plotted values need a y axis from -1e\+308 to inf, which float ticks cannot divide",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1, -1.7e308)]),
+            r"plotted values need a y axis from -1\.7e\+308 to -1\.7e\+308, which float ticks cannot divide",
+        ),
+        (
+            PlotSpec(kind="median_by_rank", title="t", series=[("a", 1, 5e-324)]),
+            r"plotted values need a y axis from 0\.0 to 5e-324, which float ticks cannot divide",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("r", [("a", 1), ("b", math.nan)])]),
+            r"ranking_comparison values must be finite numbers, got \('b', nan\)",
+        ),
+        (
+            PlotSpec(kind="ranking_comparison", title="t", series=[("r", [("a", 1), ("b", math.inf)])]),
+            r"ranking_comparison values must be finite numbers, got \('b', inf\)",
+        ),
+        (
+            PlotSpec(kind="box_whisker_panel", title="t", series=[("S", BoxStats(**{**sample_box().as_dict(),
+                                                                                    "median": math.nan}))]),
+            r"box_whisker_panel values must be finite numbers, got \('S', BoxStats\(.*median=nan",
+        ),
+        (
+            PlotSpec(kind="box_whisker_panel", title="t", series=[("S", sample_box()),
+                                                                  ("O", BoxStats(*[math.inf] * 7, 0))]),
+            r"box_whisker_panel values must be finite numbers, got \('O', BoxStats\(minimum=inf",
+        ),
     ],
     ids=["unknown-kind", "unknown-kind-zero-width", "empty-series", "box-item", "median-item",
          "ranking-item", "ranking-labels", "zero-width", "median-rank-text", "median-value-text",
          "median-label-number", "ranking-point-number", "ranking-rank-text", "ranking-point-triple",
-         "box-label-number", "ranking-name-number", "ranking-points-number"],
+         "box-label-number", "ranking-name-number", "ranking-points-number", "median-nan", "median-rank-nan",
+         "median-infinite", "median-span-overflows", "median-axis-below-one-ulp",
+         "median-step-below-the-smallest-float", "ranking-rank-nan", "ranking-rank-infinite",
+         "box-median-nan", "box-infinite"],
 )
 def test_invalid_specs_rejected(spec, message):
     with pytest.raises(PlotSpecError, match=message):
@@ -221,6 +267,12 @@ def test_missing_cells_are_blank_in_csv():
     csv_text, json_text = emit_tables([{"a": 1}], ["a", "b"])
     assert csv_text.splitlines()[1] == "1,"
     assert json.loads(json_text)[0]["b"] is None
+
+
+def test_non_finite_cells_are_refused_not_written_as_json_tokens():
+    # json.dumps would write NaN and Infinity, which a strict JSON parser refuses
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_tables([{"a": math.nan, "b": math.inf}], ["a", "b"])
 
 
 def test_json_text_rounds_floats_at_any_depth():
